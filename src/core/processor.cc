@@ -32,6 +32,17 @@ cycleCauseName(CycleCause cause)
     DRSIM_PANIC("invalid CycleCause ", int(cause));
 }
 
+const char *
+stopReasonName(StopReason reason)
+{
+    switch (reason) {
+      case StopReason::Running: return "running";
+      case StopReason::Halted: return "halted";
+      case StopReason::InstLimit: return "inst-limit";
+    }
+    DRSIM_PANIC("invalid StopReason ", int(reason));
+}
+
 /** Per-cycle issue budgets (paper Section 2.1 instruction-word rules). */
 struct IssueBudget
 {

@@ -55,6 +55,10 @@ namespace drsim {
 /** Why the simulation stopped. */
 enum class StopReason : std::uint8_t { Running, Halted, InstLimit };
 
+/** Stable identifier, e.g. "inst-limit" (the stop_reason of the
+ *  results artifact and of the point record). */
+const char *stopReasonName(StopReason reason);
+
 /**
  * Mutually exclusive per-cycle attribution of what the machine was
  * doing (or why it was doing nothing).  Every simulated cycle is

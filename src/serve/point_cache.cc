@@ -1,15 +1,10 @@
 #include "serve/point_cache.hh"
 
-#include <atomic>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
-#include <unistd.h>
 
-#include "common/disk_lru.hh"
 #include "common/env.hh"
-#include "common/logging.hh"
+#include "common/json.hh"
 #include "serve/result_io.hh"
 #include "workloads/digest.hh"
 #include "workloads/program.hh"
@@ -36,18 +31,6 @@ pointCacheRev()
     if (env != nullptr && env[0] != '\0')
         return env;
     return kBuiltinRev;
-}
-
-std::string
-fnv1aHex(const std::string &text)
-{
-    return drsim::fnv1aHex(text); // workloads/digest.hh
-}
-
-std::string
-programDigest(const Program &program)
-{
-    return drsim::programDigest(program); // workloads/digest.hh
 }
 
 std::string
@@ -102,74 +85,39 @@ pointKeyText(const PointKey &key, const std::string &rev)
 
 PointCache::PointCache(std::string dir, std::string rev,
                        std::uint64_t max_bytes)
-    : dir_(std::move(dir)), rev_(std::move(rev)),
-      maxBytes_(max_bytes == ~std::uint64_t{0}
-                    ? envU64("DRSIM_CACHE_MAX_BYTES", 0)
-                    : max_bytes)
+    : rev_(std::move(rev)),
+      store_(std::move(dir),
+             max_bytes == ~std::uint64_t{0}
+                 ? envU64("DRSIM_CACHE_MAX_BYTES", 0)
+                 : max_bytes,
+             "cache")
 {
-    std::error_code ec;
-    std::filesystem::create_directories(dir_, ec);
-    if (ec) {
-        fatal("cannot create cache directory '", dir_,
-              "': ", ec.message());
-    }
-}
-
-std::string
-PointCache::pathFor(const std::string &hash) const
-{
-    return dir_ + "/" + hash.substr(0, 2) + "/" + hash + ".json";
 }
 
 std::string
 PointCache::entryPath(const PointKey &key) const
 {
-    return pathFor(fnv1aHex(pointKeyText(key, rev_)));
+    return store_.path(fnv1aHex(pointKeyText(key, rev_)), ".json");
 }
 
 std::optional<SimResult>
 PointCache::load(const PointKey &key)
 {
     const std::string keyText = pointKeyText(key, rev_);
-    const std::string path = pathFor(fnv1aHex(keyText));
-
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.misses;
-        return std::nullopt;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-
-    const auto corrupt = [&](const std::string &why) {
-        warn("cache entry ", path, " is unusable (", why,
-             "); recomputing");
-        std::error_code ec;
-        std::filesystem::remove(path, ec);
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.corrupt;
-        ++stats_.misses;
-        return std::nullopt;
-    };
-
-    try {
-        const json::Value doc = json::parse(text.str());
-        if (!doc.isObject() ||
-            doc.at("drsim_cache").asU64() != 1)
-            return corrupt("not a v1 cache envelope");
-        if (doc.at("key").asString() != keyText)
-            return corrupt("key text mismatch (hash collision or "
-                           "stale generator)");
-        SimResult result = parsePointRecord(doc.at("result"));
-        if (maxBytes_ != 0)
-            touchFile(path); // mark recently-used for the LRU cap
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.hits;
-        return result;
-    } catch (const FatalError &e) {
-        return corrupt(e.what());
-    }
+    std::optional<SimResult> result;
+    store_.load(fnv1aHex(keyText), ".json",
+                [&](const std::string &bytes) -> std::string {
+                    const json::Value doc = json::parse(bytes);
+                    if (!doc.isObject() ||
+                        doc.at("drsim_cache").asU64() != 1)
+                        return "not a v1 cache envelope";
+                    if (doc.at("key").asString() != keyText)
+                        return "key text mismatch (hash collision or "
+                               "stale generator)";
+                    result = parsePointRecord(doc.at("result"));
+                    return "";
+                });
+    return result;
 }
 
 void
@@ -177,15 +125,6 @@ PointCache::store(const PointKey &key, const SimResult &result)
 {
     const std::string keyText = pointKeyText(key, rev_);
     const std::string hash = fnv1aHex(keyText);
-    const std::string path = pathFor(hash);
-
-    std::error_code ec;
-    std::filesystem::create_directories(
-        dir_ + "/" + hash.substr(0, 2), ec);
-    if (ec) {
-        fatal("cannot create cache fan-out directory for '", path,
-              "': ", ec.message());
-    }
 
     std::string envelope = "{\"drsim_cache\":1,\"computed_at_rev\":\"";
     envelope += json::escape(rev_);
@@ -194,41 +133,8 @@ PointCache::store(const PointKey &key, const SimResult &result)
     envelope += "\",\"result\":";
     envelope += pointRecordJson(result);
     envelope += "}\n";
-
-    // Unique temp name per writer, then an atomic rename: readers
-    // never observe a partial entry, and racing writers of the same
-    // key both rename identical bytes into place.
-    static std::atomic<std::uint64_t> counter{0};
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid()) + "." +
-        std::to_string(counter.fetch_add(1));
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            fatal("cannot open cache temp file '", tmp, "'");
-        out << envelope;
-        out.flush();
-        if (!out)
-            fatal("failed writing cache temp file '", tmp, "'");
-    }
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        std::filesystem::remove(tmp, ec);
-        fatal("cannot publish cache entry '", path,
-              "': ", ec.message());
-    }
-    const std::uint64_t evicted =
-        maxBytes_ != 0 ? enforceDirByteCap(dir_, maxBytes_) : 0;
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.stores;
-    stats_.evicted += evicted;
-}
-
-PointCache::Stats
-PointCache::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
+    if (store_.publish(hash, ".json", envelope))
+        store_.trim();
 }
 
 } // namespace serve

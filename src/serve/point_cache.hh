@@ -9,17 +9,11 @@
  * and a workload program is fully determined by its builder inputs).
  * The cache maps a canonical textual serialization of those inputs
  * (the *key text*) through a 64-bit FNV-1a hash to one JSON envelope
- * file under the cache directory:
- *
- *   <dir>/<hh>/<16-hex-digit-hash>.json
- *
- * where <hh> is the first two hash digits (a fan-out level so a
- * million-point cache does not put a million entries in one
- * directory).  The envelope stores the *full* key text next to the
- * result, and load() verifies it against the requested key, so a hash
- * collision degrades to a cache miss instead of serving a wrong
- * result, and a truncated or hand-edited file degrades to a recompute
- * instead of a crash.
+ * file under the cache directory, <dir>/<hh>/<hash>.json.  The
+ * envelope stores the *full* key text next to the result, and load()
+ * verifies it against the requested key, so a hash collision degrades
+ * to a cache miss instead of serving a wrong result, and a truncated
+ * or hand-edited file degrades to a recompute instead of a crash.
  *
  * The program coordinate is a content digest of the built guest
  * program (instructions + initial data image), not a (name, scale)
@@ -29,21 +23,20 @@
  * retires the entire cache at once — see docs/SERVER.md for the
  * invalidation rules.
  *
- * Thread safety: store() writes to a unique temp file and renames it
- * into place (atomic on POSIX), and load() only ever sees complete
- * files; the statistics counters are mutex-guarded.  Concurrent
- * stores of the same key are idempotent — last rename wins, and both
- * writers produced identical bytes.
+ * Storage — the fan-out path, atomic publish, corrupt-entry recovery,
+ * the LRU byte cap and the never-fatal write policy — is the shared
+ * content-addressed store's (common/content_store.hh); this module
+ * owns only the key text and the envelope encoding.
  */
 
 #ifndef DRSIM_SERVE_POINT_CACHE_HH
 #define DRSIM_SERVE_POINT_CACHE_HH
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 
+#include "common/content_store.hh"
 #include "core/config.hh"
 #include "sim/simulator.hh"
 #include "workloads/kernels.hh"
@@ -60,17 +53,13 @@ namespace serve {
  */
 std::string pointCacheRev();
 
-/** FNV-1a content digest of a built program (code + data image),
- *  rendered as 16 hex digits. */
-std::string programDigest(const Program &program);
-
 /** The inputs identifying one cacheable point. */
 struct PointKey
 {
     CoreConfig config;
     /** Workload name (provenance only; the digest is authoritative). */
     std::string workload;
-    /** programDigest() of the built program. */
+    /** programDigest() of the built program (workloads/digest.hh). */
     std::string digest;
 };
 
@@ -82,9 +71,6 @@ struct PointKey
  * are bit-identical, so both implementations share cache entries.
  */
 std::string pointKeyText(const PointKey &key, const std::string &rev);
-
-/** 64-bit FNV-1a of @p text as 16 lowercase hex digits. */
-std::string fnv1aHex(const std::string &text);
 
 class PointCache
 {
@@ -101,11 +87,8 @@ class PointCache
                         std::string rev = pointCacheRev(),
                         std::uint64_t max_bytes = ~std::uint64_t{0});
 
-    const std::string &dir() const { return dir_; }
+    const std::string &dir() const { return store_.dir(); }
     const std::string &rev() const { return rev_; }
-
-    /** Effective byte cap (0 = unbounded). */
-    std::uint64_t maxBytes() const { return maxBytes_; }
 
     /** Envelope file path for @p key (exists or not). */
     std::string entryPath(const PointKey &key) const;
@@ -118,29 +101,19 @@ class PointCache
      */
     std::optional<SimResult> load(const PointKey &key);
 
-    /** Persist @p result under @p key (atomic tempfile + rename);
-     *  fatal() on I/O failure. */
+    /** Persist @p result under @p key.  A write failure is warned
+     *  about and leaves the entry unstored (stats().stores does not
+     *  count it); it never fails the caller. */
     void store(const PointKey &key, const SimResult &result);
 
-    struct Stats
-    {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t corrupt = 0;
-        std::uint64_t stores = 0;
-        /** Entries removed by the LRU byte cap (common/disk_lru.hh). */
-        std::uint64_t evicted = 0;
-    };
-    Stats stats() const;
+    /** hits, misses, corrupt (unlinked as unusable), stores (entries
+     *  written) and evicted (removed by the LRU byte cap). */
+    using Stats = ContentStore::Stats;
+    Stats stats() const { return store_.stats(); }
 
   private:
-    std::string pathFor(const std::string &hash) const;
-
-    std::string dir_;
     std::string rev_;
-    std::uint64_t maxBytes_ = 0;
-    mutable std::mutex mutex_;
-    Stats stats_;
+    ContentStore store_;
 };
 
 } // namespace serve

@@ -9,17 +9,6 @@ namespace serve {
 
 namespace {
 
-const char *
-stopReasonName(StopReason r)
-{
-    switch (r) {
-      case StopReason::Running: return "running";
-      case StopReason::Halted: return "halted";
-      case StopReason::InstLimit: return "inst-limit";
-    }
-    DRSIM_PANIC("invalid StopReason ", int(r));
-}
-
 StopReason
 stopReasonFromName(const std::string &name)
 {

@@ -25,6 +25,7 @@
 #include "serve/result_io.hh"
 #include "sim/ckpt_store.hh"
 #include "sim/runner.hh"
+#include "workloads/digest.hh"
 
 namespace drsim {
 namespace serve {

@@ -1,8 +1,7 @@
 #include "serve/service.hh"
 
-#include <condition_variable>
+#include <future>
 #include <utility>
-#include <vector>
 
 #include "common/logging.hh"
 #include "sim/simulator.hh"
@@ -23,119 +22,94 @@ SweepService::requestPoint(const PointKey &key,
                            std::shared_ptr<const Workload> workload,
                            PointCallback cb)
 {
-    const std::string keyText = pointKeyText(key, cache_.rev());
     {
-        std::unique_lock<std::mutex> lock(mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.points;
-
-        const auto mem = memory_.find(keyText);
-        if (mem != memory_.end()) {
-            ++stats_.memoryHits;
-            PointOutcome outcome;
-            outcome.result = mem->second;
-            outcome.cacheHit = true;
-            outcome.rev = cache_.rev();
-            lock.unlock();
-            cb(outcome);
-            return;
-        }
-
-        const auto flight = inflight_.find(keyText);
-        if (flight != inflight_.end()) {
-            flight->second->waiters.push_back(std::move(cb));
-            return;
-        }
-
-        auto entry = std::make_shared<InFlight>();
-        entry->waiters.push_back(std::move(cb));
-        inflight_.emplace(keyText, std::move(entry));
-        ++stats_.inFlight;
     }
-    pool_.submit([this, keyText, key, workload] {
-        completePoint(keyText, key, workload);
-    });
+    const std::string keyText = pointKeyText(key, cache_.rev());
+    const auto deliver = [this, cb = std::move(cb)](
+                             const Memory::Value &value,
+                             const std::exception_ptr &error,
+                             Memory::Via via) {
+        PointOutcome outcome;
+        if (value) {
+            outcome = *value;
+        } else {
+            try {
+                std::rethrow_exception(error);
+            } catch (const FatalError &e) {
+                outcome.error = e.what();
+            }
+        }
+        outcome.rev = cache_.rev();
+        if (via == Memory::Via::Memory)
+            outcome.cacheHit = true;
+        outcome.coalesced = via == Memory::Via::Coalesced;
+        cb(outcome);
+    };
+    if (memory_.request(keyText, deliver) == Memory::Via::Owner) {
+        pool_.submit([this, keyText, key, workload] {
+            completePoint(keyText, key, *workload);
+        });
+    }
 }
 
 void
-SweepService::completePoint(
-    const std::string &keyText, const PointKey &key,
-    const std::shared_ptr<const Workload> &workload)
+SweepService::completePoint(const std::string &keyText,
+                            const PointKey &key, const Workload &workload)
 {
-    // Runs on a worker thread with no locks held.  Must not throw:
-    // the pool would capture the exception for a wait() nobody calls,
-    // and the in-flight waiters would starve.
-    PointOutcome outcome;
-    outcome.rev = cache_.rev();
-    bool computed = false;
+    // Runs on a worker thread.  Must not throw: the pool would capture
+    // the exception for a wait() nobody calls, and the waiters would
+    // starve.
+    auto outcome = std::make_shared<PointOutcome>();
+    std::exception_ptr error;
     try {
         if (auto cached = cache_.load(key)) {
-            outcome.result = std::move(*cached);
-            outcome.cacheHit = true;
+            outcome->result = std::move(*cached);
+            outcome->cacheHit = true;
         } else {
-            outcome.result = simulate(key.config, *workload);
-            cache_.store(key, outcome.result);
-            computed = true;
+            outcome->result = simulate(key.config, workload);
+            cache_.store(key, outcome->result);
         }
-    } catch (const FatalError &e) {
-        outcome.error = e.what();
+    } catch (const FatalError &) {
+        error = std::current_exception();
     }
-
-    std::vector<PointCallback> waiters;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        const auto flight = inflight_.find(keyText);
-        if (flight == inflight_.end())
-            DRSIM_PANIC("no in-flight entry for completed point");
-        waiters = std::move(flight->second->waiters);
-        inflight_.erase(flight);
-        --stats_.inFlight;
-        if (outcome.ok()) {
-            memory_.emplace(keyText, outcome.result);
-            if (computed)
-                ++stats_.computed;
-            else
-                ++stats_.diskHits;
-        } else {
-            // Errors are not published: a later identical request
-            // retries (the failure may be transient, e.g. a full
-            // disk during cache_.store()).
+        if (error)
             ++stats_.errors;
-        }
-        stats_.coalesced += waiters.size() - 1;
+        else if (outcome->cacheHit)
+            ++stats_.diskHits;
+        else
+            ++stats_.computed;
     }
-    for (std::size_t i = 0; i < waiters.size(); ++i) {
-        outcome.coalesced = i > 0;
-        waiters[i](outcome);
-    }
+    memory_.finish(keyText, error ? nullptr : outcome, error);
 }
 
 PointOutcome
 SweepService::runPoint(const PointKey &key, const Workload &workload)
 {
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-    PointOutcome result;
-    requestPoint(
-        key,
-        std::shared_ptr<const Workload>(&workload,
-                                        [](const Workload *) {}),
-        [&](const PointOutcome &outcome) {
-            std::lock_guard<std::mutex> lock(m);
-            result = outcome;
-            done = true;
-            cv.notify_one();
-        });
-    std::unique_lock<std::mutex> lock(m);
-    cv.wait(lock, [&] { return done; });
-    return result;
+    auto done = std::make_shared<std::promise<PointOutcome>>();
+    std::future<PointOutcome> result = done->get_future();
+    requestPoint(key,
+                 std::shared_ptr<const Workload>(&workload,
+                                                 [](const Workload *) {}),
+                 [done](const PointOutcome &outcome) {
+                     done->set_value(outcome);
+                 });
+    return result.get();
 }
 
 SweepService::Stats
 SweepService::stats() const
 {
+    const Memory::Stats memory = memory_.stats();
     std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
+    Stats s = stats_;
+    s.memoryHits = memory.hits;
+    s.coalesced = memory.coalesced;
+    s.inFlight = memory.inFlight;
+    return s;
 }
 
 } // namespace serve

@@ -4,35 +4,15 @@
  *
  * This is the layer between the wire protocol (server.hh) and the
  * simulator: callers hand it points (PointKey + built workload) and a
- * callback; the service answers each point from the in-memory result
- * map, then the on-disk PointCache, and only then by scheduling a
- * simulation on its worker pool — while guaranteeing that identical
- * points requested concurrently (the thundering-herd case) cost
- * exactly one simulation.
+ * callback; the service answers each point from the memory tier, then
+ * the on-disk PointCache, and only then by simulating on its worker
+ * pool.  The memory tier (MemoryTier, common/content_store.hh) makes
+ * identical concurrent requests cost one simulation: the first owns
+ * the pool task and the rest are queued behind it (DESIGN.md §5g).
+ * A failed disk store still delivers the point and keeps it in
+ * memory; only a failed load or simulation is a point error.
  *
- * Coalescing state machine (per canonical key text; see DESIGN.md
- * §5g for the thread-safety argument):
- *
- *            requestPoint
- *                 |
- *      [memory map hit] --------> deliver(cacheHit) immediately
- *                 |
- *      [in-flight entry exists] -> append callback; deliver when the
- *                 |                owning task completes (coalesced)
- *                 v
- *      create in-flight entry, submit task to the pool
- *                 |
- *      task: disk-cache load  --hit--> publish + deliver(cacheHit)
- *                 |miss
- *      simulate(), cache.store(), publish + deliver(computed)
- *
- * "Publish" moves the result into the memory map and erases the
- * in-flight entry under the same lock, so every later request is a
- * memory hit and no request can fall between the two structures.
- * Callbacks are always invoked *outside* the service lock (they may
- * write to sockets or take their own locks) and exactly once.
- *
- * The memory map is deliberately eviction-free: a point record is a
+ * The memory tier is deliberately eviction-free: a point record is a
  * few kilobytes, so even a hundred-thousand-point campaign stays in
  * the hundreds of megabytes, and serving "never simulate the same
  * point twice" from memory is the whole purpose of the daemon.
@@ -46,8 +26,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
+#include "common/content_store.hh"
 #include "common/thread_pool.hh"
 #include "serve/point_cache.hh"
 
@@ -114,21 +94,18 @@ class SweepService
     Stats stats() const;
 
   private:
-    struct InFlight
-    {
-        std::vector<PointCallback> waiters;
-    };
+    /** Each point's first successful outcome, by key text. */
+    using Memory = MemoryTier<PointOutcome>;
 
-    void completePoint(const std::string &keyText,
-                       const PointKey &key,
-                       const std::shared_ptr<const Workload> &workload);
+    void completePoint(const std::string &keyText, const PointKey &key,
+                       const Workload &workload);
 
     int jobs_;
     PointCache cache_;
+    Memory memory_;
     mutable std::mutex mutex_;
-    std::unordered_map<std::string, SimResult> memory_;
-    std::unordered_map<std::string, std::shared_ptr<InFlight>>
-        inflight_;
+    /** points, diskHits, computed and errors; the other counters are
+     *  memory_'s. */
     Stats stats_;
     /** Last member: destroying the pool drains queued tasks, which
      *  still touch every field above. */

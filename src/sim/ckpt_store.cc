@@ -1,15 +1,10 @@
 #include "sim/ckpt_store.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
-#include <unistd.h>
+#include <string_view>
 
-#include "common/disk_lru.hh"
 #include "common/env.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -25,8 +20,7 @@ namespace {
 constexpr const char *kBuiltinCkptRev = "ckpt-v2";
 
 /** Leading magic of every snapshot file. */
-constexpr char kStateMagic[8] = {'D', 'R', 'S', 'I',
-                                 'M', 'C', 'K', '1'};
+constexpr std::string_view kStateMagic = "DRSIMCK1";
 
 /**
  * The jittered gap sequence between detailed phases.  This is the
@@ -60,30 +54,190 @@ class GapSequence
     std::uint64_t lcg_ = 0x9e3779b97f4a7c15ull;
 };
 
+/** Append @p v's bytes (host byte order) to a snapshot file. */
+template <class T>
 void
-putU64(std::ostream &out, std::uint64_t v)
+put(std::string &out, const T &v)
 {
-    out.write(reinterpret_cast<const char *>(&v), sizeof(v));
+    out.append(reinterpret_cast<const char *>(&v), sizeof(v));
 }
 
-void
-putI32(std::ostream &out, std::int32_t v)
+/** Sequential reader over a snapshot file's bytes. */
+class Reader
 {
-    out.write(reinterpret_cast<const char *>(&v), sizeof(v));
+  public:
+    explicit Reader(std::string_view bytes) : rest_(bytes) {}
+
+    bool
+    read(void *dst, std::size_t n)
+    {
+        if (rest_.size() < n)
+            return false;
+        std::copy_n(rest_.data(), n, static_cast<char *>(dst));
+        rest_.remove_prefix(n);
+        return true;
+    }
+
+    template <class T>
+    bool get(T &v) { return read(&v, sizeof(v)); }
+
+    std::size_t left() const { return rest_.size(); }
+
+  private:
+    std::string_view rest_;
+};
+
+std::string
+stateSuffix(std::uint64_t pos)
+{
+    return ".p" + std::to_string(pos) + ".bin";
 }
 
-bool
-getU64(std::istream &in, std::uint64_t &v)
+/** The meta file: key text, arch length, positions, detail starts. */
+std::string
+encodeMeta(const std::string &key_text, const std::string &hash,
+           const std::string &rev, const SampleCkpts &plan)
 {
-    in.read(reinterpret_cast<char *>(&v), sizeof(v));
-    return bool(in);
+    std::string doc = "{\"drsim_ckpt\":1,\"computed_at_rev\":\"";
+    const auto list = [&doc](const std::vector<std::uint64_t> &v) {
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            if (i != 0)
+                doc += ",";
+            doc += std::to_string(v[i]);
+        }
+    };
+    doc += json::escape(rev);
+    doc += "\",\"key_hash\":\"" + hash + "\",\"key\":\"";
+    doc += json::escape(key_text);
+    doc += "\",\"arch_length\":" + std::to_string(plan.archLength);
+    doc += ",\"positions\":[";
+    list(plan.positions);
+    doc += "],\"detail_starts\":[";
+    list(plan.detailStarts);
+    doc += "]}\n";
+    return doc;
 }
 
-bool
-getI32(std::istream &in, std::int32_t &v)
+/** Decode a meta file into @p plan; "" or why it is unusable. */
+std::string
+decodeMeta(const std::string &bytes, const std::string &key_text,
+           SampleCkpts &plan)
 {
-    in.read(reinterpret_cast<char *>(&v), sizeof(v));
-    return bool(in);
+    const json::Value doc = json::parse(bytes);
+    if (!doc.isObject() || doc.at("drsim_ckpt").asU64() != 1)
+        return "not a v1 checkpoint meta";
+    if (doc.at("key").asString() != key_text)
+        return "key text mismatch (hash collision or stale generator)";
+    plan.archLength = doc.at("arch_length").asU64();
+    plan.positions.clear();
+    for (const json::Value &p : doc.at("positions").items())
+        plan.positions.push_back(p.asU64());
+    if (plan.positions.empty() ||
+        plan.positions.back() != plan.archLength ||
+        !std::is_sorted(plan.positions.begin(), plan.positions.end()) ||
+        std::adjacent_find(plan.positions.begin(),
+                           plan.positions.end()) != plan.positions.end())
+        return "inconsistent position list";
+    plan.detailStarts.clear();
+    for (const json::Value &p : doc.at("detail_starts").items())
+        plan.detailStarts.push_back(p.asU64());
+    const std::size_t np = plan.positions.size();
+    const std::size_t nd = plan.detailStarts.size();
+    bool ds_ok = nd == np - 1 ||
+                 (nd == np &&
+                  plan.detailStarts.back() == plan.positions.back());
+    for (std::size_t i = 0; ds_ok && i < nd; ++i) {
+        ds_ok = plan.detailStarts[i] >= plan.positions[i] &&
+                plan.detailStarts[i] <= plan.archLength &&
+                (i == 0 ||
+                 plan.detailStarts[i] > plan.detailStarts[i - 1]);
+    }
+    if (!ds_ok)
+        return "inconsistent detail-start list";
+    return "";
+}
+
+/** The DRSIMCK1 snapshot file for @p state at @p pos. */
+std::string
+encodeState(std::uint64_t key_hash, std::uint64_t pos,
+            const EmuArchState &state)
+{
+    std::string out(kStateMagic);
+    put(out, key_hash);
+    put(out, pos);
+    put(out, std::int32_t(state.loc.block));
+    put(out, std::int32_t(state.loc.offset));
+    put(out, state.steps);
+    put(out, std::uint64_t(state.dataLimit));
+    put(out, state.intRegs);
+    put(out, state.fpRegs);
+    put(out, std::uint64_t(state.data.size()));
+    out.append(reinterpret_cast<const char *>(state.data.data()),
+               state.data.size() * sizeof(std::uint64_t));
+    // Sorted so racing writers publish identical bytes.
+    std::vector<std::pair<Addr, std::uint64_t>> mem(state.mem.begin(),
+                                                    state.mem.end());
+    std::sort(mem.begin(), mem.end());
+    put(out, std::uint64_t(mem.size()));
+    for (const auto &[addr, word] : mem) {
+        put(out, std::uint64_t(addr));
+        put(out, word);
+    }
+    put(out, archStateHash(state));
+    return out;
+}
+
+/** Decode a snapshot file into @p state; "" or why it is unusable. */
+std::string
+decodeState(const std::string &bytes, std::uint64_t key_hash,
+            std::uint64_t pos, EmuArchState &state)
+{
+    if (bytes.compare(0, kStateMagic.size(), kStateMagic) != 0)
+        return "bad magic";
+    Reader in(std::string_view(bytes).substr(kStateMagic.size()));
+
+    std::uint64_t hash = 0, position = 0;
+    if (!in.get(hash) || !in.get(position))
+        return "truncated header";
+    if (hash != key_hash || position != pos)
+        return "header mismatch";
+
+    std::int32_t block = 0, offset = 0;
+    std::uint64_t data_limit = 0;
+    if (!in.get(block) || !in.get(offset) || !in.get(state.steps) ||
+        !in.get(data_limit))
+        return "truncated header";
+    state.loc.block = block;
+    state.loc.offset = offset;
+    state.dataLimit = data_limit;
+    if (!in.get(state.intRegs) || !in.get(state.fpRegs))
+        return "truncated registers";
+
+    std::uint64_t data_words = 0;
+    if (!in.get(data_words) || data_words > in.left() / 8)
+        return "truncated data segment";
+    state.data.resize(std::size_t(data_words));
+    in.read(state.data.data(), state.data.size() * sizeof(std::uint64_t));
+
+    std::uint64_t mem_count = 0;
+    if (!in.get(mem_count) || mem_count > in.left() / 16)
+        return "truncated sparse memory";
+    state.mem.clear();
+    for (std::uint64_t i = 0; i < mem_count; ++i) {
+        std::uint64_t addr = 0, word = 0;
+        in.get(addr);
+        in.get(word);
+        state.mem.emplace(addr, word);
+    }
+
+    std::uint64_t stored_hash = 0;
+    if (!in.get(stored_hash))
+        return "missing state hash";
+    if (in.left() != 0)
+        return "trailing bytes";
+    if (stored_hash != archStateHash(state) || state.steps != pos)
+        return "state hash mismatch";
+    return "";
 }
 
 } // namespace
@@ -138,322 +292,19 @@ SampleCkpts::stateAt(std::uint64_t pos) const
 
 CkptStore::CkptStore(std::string dir, std::string rev,
                      std::uint64_t max_bytes)
-    : dir_(std::move(dir)), rev_(std::move(rev)),
-      maxBytes_(max_bytes == ~std::uint64_t{0}
-                    ? envU64("DRSIM_CKPT_MAX_BYTES", 0)
-                    : max_bytes)
+    : rev_(std::move(rev)),
+      disk_(std::move(dir),
+            max_bytes == ~std::uint64_t{0}
+                ? envU64("DRSIM_CKPT_MAX_BYTES", 0)
+                : max_bytes,
+            "checkpoint")
 {
-    if (dir_.empty())
-        return;
-    std::error_code ec;
-    std::filesystem::create_directories(dir_, ec);
-    if (ec) {
-        fatal("cannot create checkpoint directory '", dir_,
-              "': ", ec.message());
-    }
-}
-
-std::string
-CkptStore::pathFor(const std::string &hash,
-                   const std::string &suffix) const
-{
-    if (dir_.empty())
-        return "";
-    return dir_ + "/" + hash.substr(0, 2) + "/" + hash + suffix;
-}
-
-std::string
-CkptStore::metaPath(const CkptKey &key) const
-{
-    return pathFor(fnv1aHex(ckptKeyText(key, rev_)), ".json");
 }
 
 std::string
 CkptStore::statePath(const CkptKey &key, std::uint64_t pos) const
 {
-    return pathFor(fnv1aHex(ckptKeyText(key, rev_)),
-                   ".p" + std::to_string(pos) + ".bin");
-}
-
-void
-CkptStore::countCorrupt(const std::string &path,
-                        const std::string &why)
-{
-    warn("checkpoint ", path, " is unusable (", why,
-         "); regenerating");
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.corrupt;
-}
-
-bool
-CkptStore::loadMeta(const std::string &key_text,
-                    const std::string &hash, SampleCkpts &plan)
-{
-    const std::string path = pathFor(hash, ".json");
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream text;
-    text << in.rdbuf();
-    try {
-        const json::Value doc = json::parse(text.str());
-        if (!doc.isObject() || doc.at("drsim_ckpt").asU64() != 1) {
-            countCorrupt(path, "not a v1 checkpoint meta");
-            return false;
-        }
-        if (doc.at("key").asString() != key_text) {
-            countCorrupt(path, "key text mismatch (hash collision "
-                               "or stale generator)");
-            return false;
-        }
-        plan.archLength = doc.at("arch_length").asU64();
-        plan.positions.clear();
-        for (const json::Value &p : doc.at("positions").items())
-            plan.positions.push_back(p.asU64());
-        if (plan.positions.empty() ||
-            plan.positions.back() != plan.archLength ||
-            !std::is_sorted(plan.positions.begin(),
-                            plan.positions.end()) ||
-            std::adjacent_find(plan.positions.begin(),
-                               plan.positions.end()) !=
-                plan.positions.end()) {
-            countCorrupt(path, "inconsistent position list");
-            return false;
-        }
-        plan.detailStarts.clear();
-        for (const json::Value &p : doc.at("detail_starts").items())
-            plan.detailStarts.push_back(p.asU64());
-        const std::size_t np = plan.positions.size();
-        const std::size_t nd = plan.detailStarts.size();
-        bool ds_ok =
-            nd == np - 1 ||
-            (nd == np &&
-             plan.detailStarts.back() == plan.positions.back());
-        for (std::size_t i = 0; ds_ok && i < nd; ++i) {
-            ds_ok = plan.detailStarts[i] >= plan.positions[i] &&
-                    plan.detailStarts[i] <= plan.archLength &&
-                    (i == 0 || plan.detailStarts[i] >
-                                   plan.detailStarts[i - 1]);
-        }
-        if (!ds_ok) {
-            countCorrupt(path, "inconsistent detail-start list");
-            return false;
-        }
-        if (maxBytes_ != 0)
-            touchFile(path);
-        return true;
-    } catch (const FatalError &e) {
-        countCorrupt(path, e.what());
-        return false;
-    }
-}
-
-bool
-CkptStore::loadState(const std::string &hash, std::uint64_t pos,
-                     EmuArchState &state)
-{
-    const std::string path =
-        pathFor(hash, ".p" + std::to_string(pos) + ".bin");
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return false;
-
-    const auto corrupt = [&](const char *why) {
-        countCorrupt(path, why);
-        return false;
-    };
-
-    char magic[8];
-    in.read(magic, sizeof(magic));
-    if (!in || !std::equal(magic, magic + 8, kStateMagic))
-        return corrupt("bad magic");
-
-    std::uint64_t key_hash = 0, position = 0;
-    if (!getU64(in, key_hash) || !getU64(in, position))
-        return corrupt("truncated header");
-    if (key_hash != std::stoull(hash, nullptr, 16) ||
-        position != pos)
-        return corrupt("header mismatch");
-
-    std::int32_t block = 0, offset = 0;
-    std::uint64_t steps = 0, data_limit = 0;
-    if (!getI32(in, block) || !getI32(in, offset) ||
-        !getU64(in, steps) || !getU64(in, data_limit))
-        return corrupt("truncated header");
-    state.loc.block = block;
-    state.loc.offset = offset;
-    state.steps = steps;
-    state.dataLimit = data_limit;
-
-    for (std::uint64_t &r : state.intRegs) {
-        if (!getU64(in, r))
-            return corrupt("truncated registers");
-    }
-    for (double &r : state.fpRegs) {
-        std::uint64_t bits = 0;
-        if (!getU64(in, bits))
-            return corrupt("truncated registers");
-        r = std::bit_cast<double>(bits);
-    }
-
-    std::uint64_t data_words = 0;
-    if (!getU64(in, data_words) || data_words > (1ull << 32))
-        return corrupt("truncated data segment");
-    state.data.resize(std::size_t(data_words));
-    for (std::uint64_t &w : state.data) {
-        if (!getU64(in, w))
-            return corrupt("truncated data segment");
-    }
-
-    std::uint64_t mem_count = 0;
-    if (!getU64(in, mem_count) || mem_count > (1ull << 32))
-        return corrupt("truncated sparse memory");
-    state.mem.clear();
-    for (std::uint64_t i = 0; i < mem_count; ++i) {
-        std::uint64_t addr = 0, word = 0;
-        if (!getU64(in, addr) || !getU64(in, word))
-            return corrupt("truncated sparse memory");
-        state.mem.emplace(addr, word);
-    }
-
-    std::uint64_t stored_hash = 0;
-    if (!getU64(in, stored_hash))
-        return corrupt("missing state hash");
-    if (in.peek() != std::ifstream::traits_type::eof())
-        return corrupt("trailing bytes");
-    if (stored_hash != archStateHash(state) || state.steps != pos)
-        return corrupt("state hash mismatch");
-
-    if (maxBytes_ != 0)
-        touchFile(path);
-    return true;
-}
-
-void
-CkptStore::storeMeta(const std::string &key_text,
-                     const std::string &hash,
-                     const SampleCkpts &plan)
-{
-    const std::string path = pathFor(hash, ".json");
-    std::error_code ec;
-    std::filesystem::create_directories(
-        dir_ + "/" + hash.substr(0, 2), ec);
-    if (ec) {
-        warn("cannot create checkpoint fan-out directory for '",
-             path, "': ", ec.message());
-        return;
-    }
-
-    std::string doc = "{\"drsim_ckpt\":1,\"computed_at_rev\":\"";
-    doc += json::escape(rev_);
-    doc += "\",\"key_hash\":\"" + hash + "\",\"key\":\"";
-    doc += json::escape(key_text);
-    doc += "\",\"arch_length\":" + std::to_string(plan.archLength);
-    doc += ",\"positions\":[";
-    for (std::size_t i = 0; i < plan.positions.size(); ++i) {
-        if (i != 0)
-            doc += ",";
-        doc += std::to_string(plan.positions[i]);
-    }
-    doc += "],\"detail_starts\":[";
-    for (std::size_t i = 0; i < plan.detailStarts.size(); ++i) {
-        if (i != 0)
-            doc += ",";
-        doc += std::to_string(plan.detailStarts[i]);
-    }
-    doc += "]}\n";
-
-    static std::atomic<std::uint64_t> counter{0};
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid()) + "." +
-        std::to_string(counter.fetch_add(1));
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            warn("cannot open checkpoint temp file '", tmp, "'");
-            return;
-        }
-        out << doc;
-        out.flush();
-        if (!out) {
-            warn("failed writing checkpoint temp file '", tmp, "'");
-            return;
-        }
-    }
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        std::filesystem::remove(tmp, ec);
-        warn("cannot publish checkpoint meta '", path,
-             "': ", ec.message());
-    }
-}
-
-void
-CkptStore::storeState(const std::string &hash, std::uint64_t pos,
-                      const EmuArchState &state)
-{
-    const std::string path =
-        pathFor(hash, ".p" + std::to_string(pos) + ".bin");
-    std::error_code ec;
-    std::filesystem::create_directories(
-        dir_ + "/" + hash.substr(0, 2), ec);
-    if (ec) {
-        warn("cannot create checkpoint fan-out directory for '",
-             path, "': ", ec.message());
-        return;
-    }
-
-    static std::atomic<std::uint64_t> counter{0};
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid()) + "." +
-        std::to_string(counter.fetch_add(1));
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            warn("cannot open checkpoint temp file '", tmp, "'");
-            return;
-        }
-        out.write(kStateMagic, sizeof(kStateMagic));
-        putU64(out, std::stoull(hash, nullptr, 16));
-        putU64(out, pos);
-        putI32(out, state.loc.block);
-        putI32(out, state.loc.offset);
-        putU64(out, state.steps);
-        putU64(out, state.dataLimit);
-        for (std::uint64_t r : state.intRegs)
-            putU64(out, r);
-        for (double r : state.fpRegs)
-            putU64(out, std::bit_cast<std::uint64_t>(r));
-        putU64(out, state.data.size());
-        for (std::uint64_t w : state.data)
-            putU64(out, w);
-        // Sorted so racing writers publish identical bytes.
-        std::vector<std::pair<Addr, std::uint64_t>> mem(
-            state.mem.begin(), state.mem.end());
-        std::sort(mem.begin(), mem.end());
-        putU64(out, mem.size());
-        for (const auto &[addr, word] : mem) {
-            putU64(out, addr);
-            putU64(out, word);
-        }
-        putU64(out, archStateHash(state));
-        out.flush();
-        if (!out) {
-            warn("failed writing checkpoint temp file '", tmp, "'");
-            return;
-        }
-    }
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        std::filesystem::remove(tmp, ec);
-        warn("cannot publish checkpoint '", path,
-             "': ", ec.message());
-        return;
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.stores;
+    return disk_.path(fnv1aHex(ckptKeyText(key, rev_)), stateSuffix(pos));
 }
 
 /**
@@ -515,22 +366,35 @@ generateSampleCkpts(const CkptKey &key, const Program &program)
 }
 
 std::shared_ptr<const SampleCkpts>
-CkptStore::buildPlan(const CkptKey &key, const Program &program,
-                     AcquireOutcome &out)
+CkptStore::buildPlan(const std::string &key_text, const CkptKey &key,
+                     const Program &program, AcquireOutcome &out)
 {
-    const std::string key_text = ckptKeyText(key, rev_);
     const std::string hash = fnv1aHex(key_text);
+    const std::uint64_t key_hash = std::stoull(hash, nullptr, 16);
     auto plan = std::make_shared<SampleCkpts>();
+    std::uint64_t stores = 0;
+    const auto storeState = [&](std::uint64_t pos,
+                                const EmuArchState &state) {
+        if (disk_.publish(hash, stateSuffix(pos),
+                          encodeState(key_hash, pos, state)))
+            ++stores;
+    };
 
     bool have_meta =
-        !dir_.empty() && loadMeta(key_text, hash, *plan);
+        disk_.load(hash, ".json", [&](const std::string &bytes) {
+            return decodeMeta(bytes, key_text, *plan);
+        });
     if (have_meta) {
         // Load each snapshot; regenerate any miss by fast-forwarding
         // from the nearest earlier good state (or reset).
         std::unique_ptr<Emulator> emu;
         for (std::uint64_t pos : plan->positions) {
             EmuArchState state;
-            if (loadState(hash, pos, state)) {
+            if (disk_.load(hash, stateSuffix(pos),
+                           [&](const std::string &bytes) {
+                               return decodeState(bytes, key_hash, pos,
+                                                  state);
+                           })) {
                 plan->states.push_back(std::move(state));
                 ++out.diskHits;
                 continue;
@@ -546,15 +410,14 @@ CkptStore::buildPlan(const CkptKey &key, const Program &program,
                 // The meta's positions disagree with the program
                 // (stale digest collision, hand-edited file): the
                 // whole entry is untrustworthy.
-                countCorrupt(pathFor(hash, ".json"),
+                disk_.reject(hash, ".json",
                              "positions unreachable by emulation");
                 have_meta = false;
                 break;
             }
             plan->states.push_back(emu->saveArchState());
             ++out.generated;
-            if (!dir_.empty())
-                storeState(hash, pos, plan->states.back());
+            storeState(pos, plan->states.back());
         }
     }
 
@@ -562,22 +425,20 @@ CkptStore::buildPlan(const CkptKey &key, const Program &program,
         out.diskHits = 0;
         *plan = generateSampleCkpts(key, program);
         out.generated = plan->states.size();
-        if (!dir_.empty()) {
+        if (disk_.enabled()) {
             for (std::size_t i = 0; i < plan->positions.size(); ++i)
-                storeState(hash, plan->positions[i],
-                           plan->states[i]);
-            storeMeta(key_text, hash, *plan);
+                storeState(plan->positions[i], plan->states[i]);
+            disk_.publish(hash, ".json",
+                          encodeMeta(key_text, hash, rev_, *plan));
         }
     }
-
-    std::uint64_t evicted = 0;
-    if (!dir_.empty() && maxBytes_ != 0 && out.generated != 0)
-        evicted = enforceDirByteCap(dir_, maxBytes_);
+    if (out.generated != 0)
+        disk_.trim();
 
     std::lock_guard<std::mutex> lock(mutex_);
     stats_.hits += out.diskHits;
     stats_.misses += out.generated;
-    stats_.evicted += evicted;
+    stats_.stores += stores;
     if (out.generated != 0)
         ++stats_.generated;
     return plan;
@@ -588,66 +449,30 @@ CkptStore::acquire(const CkptKey &key, const Program &program)
 {
     const std::string key_text = ckptKeyText(key, rev_);
     AcquireOutcome out;
-
-    std::shared_ptr<Entry> entry;
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        while (true) {
-            auto it = entries_.find(key_text);
-            if (it == entries_.end()) {
-                entry = std::make_shared<Entry>();
-                entry->generating = true;
-                entries_.emplace(key_text, entry);
-                break;
-            }
-            entry = it->second;
-            if (entry->ready) {
-                if (entry->error)
-                    std::rethrow_exception(entry->error);
-                ++stats_.memoryHits;
-                out.plan = entry->plan;
-                out.fromMemory = true;
-                return out;
-            }
-            // Someone else is generating this key: wait and share.
-            ++stats_.coalesced;
-            out.coalesced = true;
-            ready_.wait(lock, [&] { return entry->ready; });
-            if (entry->error)
-                std::rethrow_exception(entry->error);
-            ++stats_.memoryHits;
-            out.plan = entry->plan;
-            out.fromMemory = true;
-            return out;
-        }
-    }
-
-    try {
-        out.plan = buildPlan(key, program, out);
-    } catch (...) {
+    Memory::Via via = Memory::Via::Owner;
+    out.plan = memory_.get(
+        key_text,
+        [&] { return buildPlan(key_text, key, program, out); }, &via);
+    out.fromMemory = via != Memory::Via::Owner;
+    out.coalesced = via == Memory::Via::Coalesced;
+    if (out.fromMemory) {
         std::lock_guard<std::mutex> lock(mutex_);
-        entry->error = std::current_exception();
-        entry->ready = true;
-        // Drop the poisoned entry so a later acquire retries; the
-        // waiters coalesced onto this attempt still see the error
-        // through their shared_ptr.
-        entries_.erase(key_text);
-        ready_.notify_all();
-        throw;
+        ++stats_.memoryHits;
     }
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    entry->plan = out.plan;
-    entry->ready = true;
-    ready_.notify_all();
     return out;
 }
 
 CkptStore::Stats
 CkptStore::stats() const
 {
+    const ContentStore::Stats disk = disk_.stats();
+    const Memory::Stats memory = memory_.stats();
     std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
+    Stats s = stats_;
+    s.corrupt = disk.corrupt;
+    s.evicted = disk.evicted;
+    s.coalesced = memory.coalesced;
+    return s;
 }
 
 CkptStore &

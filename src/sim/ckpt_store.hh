@@ -24,8 +24,7 @@
  *     (library rev, workload name, programDigest, interval, window,
  *      warmup, warmff)
  *
- * canonicalized to text and FNV-1a hashed, exactly like the sweep
- * point cache (serve/point_cache) this store is modeled on.
+ * canonicalized to text and FNV-1a hashed.
  *
  * On-disk layout under DRSIM_CKPT_DIR:
  *
@@ -34,31 +33,26 @@
  *                                      detail starts
  *     <dir>/<hh>/<hash>.p<pos>.bin     one EmuArchState per position
  *
- * Every file is written to a unique temp name and atomically renamed;
- * every .bin carries the snapshot's archStateHash() and is validated
- * on load.  A corrupt or missing entry is recomputed by
- * fast-forwarding from the nearest earlier good checkpoint (or from
- * reset) and re-stored — corruption can cost time, never correctness.
- * DRSIM_CKPT_MAX_BYTES applies the shared LRU eviction policy
- * (common/disk_lru.hh) after stores.
- *
- * The in-memory tier coalesces concurrent generation: when several
- * sweep points of one workload arrive together (the serve daemon's
- * thread pool), exactly one generates while the rest wait and share
- * the resulting plan.
+ * Storage is the shared content-addressed store's
+ * (common/content_store.hh): its memory tier coalesces concurrent
+ * generation of one key, and DRSIM_CKPT_MAX_BYTES trims the directory
+ * once after each generated plan.  This module owns the key text and
+ * the two encodings.  Every .bin carries the snapshot's
+ * archStateHash(), validated on load; a corrupt or missing snapshot
+ * is recomputed from the nearest earlier good checkpoint (or reset)
+ * and re-stored, so corruption can cost time, never correctness.
  */
 
 #ifndef DRSIM_SIM_CKPT_STORE_HH
 #define DRSIM_SIM_CKPT_STORE_HH
 
-#include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/content_store.hh"
 #include "workloads/emulator.hh"
 
 namespace drsim {
@@ -152,11 +146,6 @@ class CkptStore
     explicit CkptStore(std::string dir, std::string rev = ckptRev(),
                        std::uint64_t max_bytes = ~std::uint64_t{0});
 
-    const std::string &dir() const { return dir_; }
-    const std::string &rev() const { return rev_; }
-
-    /** Meta-file path for @p key ("" when the disk tier is off). */
-    std::string metaPath(const CkptKey &key) const;
     /** Snapshot-file path for @p key at @p pos ("" when disk off). */
     std::string statePath(const CkptKey &key,
                           std::uint64_t pos) const;
@@ -204,36 +193,18 @@ class CkptStore
     Stats stats() const;
 
   private:
-    struct Entry
-    {
-        bool ready = false;
-        bool generating = false;
-        std::shared_ptr<const SampleCkpts> plan;
-        std::exception_ptr error;
-    };
+    using Memory = MemoryTier<SampleCkpts>;
 
     std::shared_ptr<const SampleCkpts>
-    buildPlan(const CkptKey &key, const Program &program,
-              AcquireOutcome &out);
-    bool loadMeta(const std::string &key_text,
-                  const std::string &hash, SampleCkpts &plan);
-    bool loadState(const std::string &hash, std::uint64_t pos,
-                   EmuArchState &state);
-    void storeMeta(const std::string &key_text,
-                   const std::string &hash, const SampleCkpts &plan);
-    void storeState(const std::string &hash, std::uint64_t pos,
-                    const EmuArchState &state);
-    std::string pathFor(const std::string &hash,
-                        const std::string &suffix) const;
-    void countCorrupt(const std::string &path,
-                      const std::string &why);
+    buildPlan(const std::string &key_text, const CkptKey &key,
+              const Program &program, AcquireOutcome &out);
 
-    std::string dir_;
     std::string rev_;
-    std::uint64_t maxBytes_ = 0;
+    ContentStore disk_;
+    Memory memory_;
     mutable std::mutex mutex_;
-    std::condition_variable ready_;
-    std::map<std::string, std::shared_ptr<Entry>> entries_;
+    /** hits, misses, stores, generated and memoryHits; the other
+     *  counters are disk_'s and memory_'s. */
     Stats stats_;
 };
 

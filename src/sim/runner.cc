@@ -150,17 +150,6 @@ class JsonOut
     std::ostream &os_;
 };
 
-const char *
-stopReasonName(StopReason r)
-{
-    switch (r) {
-      case StopReason::Running: return "running";
-      case StopReason::Halted: return "halted";
-      case StopReason::InstLimit: return "inst-limit";
-    }
-    DRSIM_PANIC("invalid StopReason ", int(r));
-}
-
 /** {"mean": .., "p90": .., "max": ..} for one occupancy histogram. */
 void
 emitOccupancy(JsonOut &j, const Histogram &h, int in)

@@ -2,11 +2,10 @@
  * @file
  * Content digests shared by the on-disk caches.
  *
- * Historically these lived in src/serve/point_cache; the checkpoint
- * library (src/sim/ckpt_store) needs the same program digest but sits
- * below the serve layer in the link graph, so the primitives moved
- * here, next to the Program they digest.  serve/point_cache re-exports
- * them under its old names.
+ * The sweep-point cache (src/serve/point_cache) and the checkpoint
+ * library (src/sim/ckpt_store) both key on them; they live here, next
+ * to the Program they digest, because the library sits below the
+ * serve layer in the link graph.
  *
  * The digest is 64-bit FNV-1a over the program's instruction stream
  * (with explicit block-boundary markers, so moving an instruction

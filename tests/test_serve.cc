@@ -36,6 +36,7 @@
 #include "serve/server.hh"
 #include "serve/service.hh"
 #include "sim/runner.hh"
+#include "workloads/digest.hh"
 #include "workloads/kernels.hh"
 
 using namespace drsim;
@@ -434,6 +435,32 @@ TEST(SweepService, IdenticalConcurrentRequestsCoalesce)
     const PointOutcome again = service.runPoint(key, w);
     EXPECT_TRUE(again.cacheHit);
     EXPECT_EQ(service.stats().computed, 2u);
+    EXPECT_EQ(service.stats().memoryHits, 1u);
+}
+
+TEST(SweepService, UnwritableCacheStillDeliversComputedPoint)
+{
+    TmpDir dir("unwritable");
+    SweepService service(dir.str(), 1);
+    const Workload w = buildWorkload("compress", 1);
+    const PointKey key = smallKey(w);
+
+    // A regular file where the key's fan-out directory belongs: the
+    // disk store must fail, but the point simulated fine.
+    const std::filesystem::path entry = service.cache().entryPath(key);
+    std::ofstream(entry.parent_path()) << "not a directory";
+
+    const PointOutcome out = service.runPoint(key, w);
+    EXPECT_TRUE(out.ok()) << out.error;
+    EXPECT_FALSE(out.cacheHit);
+    EXPECT_EQ(service.stats().computed, 1u);
+    EXPECT_EQ(service.stats().errors, 0u);
+    EXPECT_EQ(service.cache().stats().stores, 0u);
+
+    // The result is still kept in memory.
+    const PointOutcome again = service.runPoint(key, w);
+    EXPECT_TRUE(again.cacheHit);
+    EXPECT_EQ(pointRecordJson(again.result), pointRecordJson(out.result));
     EXPECT_EQ(service.stats().memoryHits, 1u);
 }
 
