@@ -30,9 +30,12 @@ runArchR20(const Program &prog)
     return emu.intRegBits(20);
 }
 
+// Both fields are 8 bytes wide so the struct has no padding: gtest
+// prints an unprintable parameter as its raw bytes, and uninitialised
+// padding would make the test name differ from build to build.
 struct QueensCase
 {
-    int n;
+    std::int64_t n;
     std::uint64_t solutions;
 };
 
@@ -42,7 +45,7 @@ class Queens : public ::testing::TestWithParam<QueensCase>
 TEST_P(Queens, CountsAllSolutions)
 {
     const auto [n, solutions] = GetParam();
-    EXPECT_EQ(runArchR20(makeQueens(n)), solutions);
+    EXPECT_EQ(runArchR20(makeQueens(static_cast<int>(n))), solutions);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -55,9 +58,10 @@ INSTANTIATE_TEST_SUITE_P(
         return "n" + std::to_string(pinfo.param.n);
     });
 
+// Padding-free for the same reason as QueensCase.
 struct SieveCase
 {
-    int limit;
+    std::int64_t limit;
     std::uint64_t primes;
 };
 
@@ -67,7 +71,7 @@ class Sieve : public ::testing::TestWithParam<SieveCase>
 TEST_P(Sieve, CountsPrimesBelowLimit)
 {
     const auto [limit, primes] = GetParam();
-    EXPECT_EQ(runArchR20(makeSieve(limit)), primes);
+    EXPECT_EQ(runArchR20(makeSieve(static_cast<int>(limit))), primes);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -37,6 +37,15 @@ struct ClassLimitCase
     int limit4; ///< per-cycle limit at 4-way issue
 };
 
+// Print the case by name: gtest's default raw-byte dump would show
+// the name pointer's address and make the test name differ from build
+// to build.
+void
+PrintTo(const ClassLimitCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class IssueClassLimit
     : public ::testing::TestWithParam<ClassLimitCase>
 {};

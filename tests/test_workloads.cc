@@ -77,6 +77,14 @@ runArchMix(const Program &prog, std::uint64_t max_steps = 3000000)
     return mix;
 }
 
+// Print the case by name, as for ClassLimitCase in
+// test_processor_edge.cc: the raw-byte dump would hold an address.
+void
+PrintTo(const MixExpectation &e, std::ostream *os)
+{
+    *os << e.name;
+}
+
 class KernelMix : public ::testing::TestWithParam<MixExpectation>
 {};
 
