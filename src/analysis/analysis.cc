@@ -674,28 +674,35 @@ formatFinding(const Finding &f)
     return os.str();
 }
 
+void
+writeReport(json::Writer &w, const Report &report)
+{
+    w.beginObject();
+    w.key("schema").value("drsim-lint-v1");
+    w.key("program").value(report.program);
+    w.key("errors").value(report.count(Severity::Error));
+    w.key("warnings").value(report.count(Severity::Warning));
+    w.key("findings").beginArray();
+    for (const Finding &f : report.findings) {
+        w.beginObject();
+        w.key("rule").value(f.rule);
+        w.key("severity").value(severityName(f.severity));
+        w.key("block").value(f.block);
+        w.key("offset").value(f.offset);
+        w.key("pc").value(f.pc);
+        w.key("message").value(f.message);
+        w.endObject();
+    }
+    w.endArray();
+    w.endObject();
+}
+
 std::string
 reportToJson(const Report &report)
 {
-    std::ostringstream os;
-    os << "{\"schema\":\"drsim-lint-v1\",\"program\":\""
-       << json::escape(report.program) << "\",\"errors\":"
-       << report.count(Severity::Error)
-       << ",\"warnings\":" << report.count(Severity::Warning)
-       << ",\"findings\":[";
-    bool first = true;
-    for (const Finding &f : report.findings) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "{\"rule\":\"" << json::escape(f.rule)
-           << "\",\"severity\":\"" << severityName(f.severity)
-           << "\",\"block\":" << f.block << ",\"offset\":" << f.offset
-           << ",\"pc\":" << f.pc << ",\"message\":\""
-           << json::escape(f.message) << "\"}";
-    }
-    os << "]}";
-    return os.str();
+    json::Writer w;
+    writeReport(w, report);
+    return w.str();
 }
 
 } // namespace analysis

@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "isa/reg.hh"
 #include "workloads/program.hh"
 
@@ -135,6 +136,9 @@ std::string formatFinding(const Finding &finding);
  * json::parse().
  */
 std::string reportToJson(const Report &report);
+
+/** reportToJson() as one object at @p w's current position. */
+void writeReport(json::Writer &w, const Report &report);
 
 /**
  * Loop-aware static instruction-mix estimate.  Block execution

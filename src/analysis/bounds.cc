@@ -328,47 +328,63 @@ formatBounds(const BoundsReport &rep)
     return os.str();
 }
 
+void
+writeBounds(json::Writer &w, const BoundsReport &rep)
+{
+    const auto perClass = [&w](const char *key,
+                               const int (&v)[kNumRegClasses]) {
+        w.key(key).beginObject();
+        w.key("int").value(v[0]);
+        w.key("fp").value(v[1]);
+        w.endObject();
+    };
+    w.beginObject();
+    w.key("schema").value("drsim-bounds-v1");
+    w.key("program").value(rep.program);
+    w.key("valid").value(rep.valid);
+    w.key("issueWidth").value(rep.limits.issueWidth);
+    perClass("maxLive", rep.maxLive);
+    w.key("criticalPathCycles").value(rep.criticalPathCycles);
+    w.key("ipcBound").value(rep.ipcBound);
+    w.key("steadyIpcBound").value(rep.steadyIpcBound);
+    perClass("minRegsEstimate", rep.minRegsEstimate);
+    w.key("liveRange").beginObject();
+    for (int c = 0; c < kNumRegClasses; ++c) {
+        const LiveRangeStats &lr = rep.liveRange[c];
+        w.key(c == 0 ? "int" : "fp").beginObject();
+        w.key("mean").value(lr.mean);
+        w.key("p50").value(lr.p50);
+        w.key("p90").value(lr.p90);
+        w.key("max").value(lr.max);
+        w.key("samples").value(lr.samples);
+        w.endObject();
+    }
+    w.endObject();
+    w.key("loops").beginArray();
+    for (const LoopBound &lb : rep.loops) {
+        w.beginObject();
+        w.key("header").value(lb.header);
+        w.key("depth").value(lb.depth);
+        w.key("innermost").value(lb.innermost);
+        w.key("reducible").value(lb.reducible);
+        w.key("bodyInsts").value(lb.bodyInsts);
+        w.key("mustInsts").value(lb.mustInsts);
+        w.key("recII").value(lb.recII);
+        w.key("resII").value(lb.resII);
+        w.key("ipcBound").value(lb.ipcBound);
+        perClass("maxLive", lb.maxLive);
+        w.endObject();
+    }
+    w.endArray();
+    w.endObject();
+}
+
 std::string
 boundsToJson(const BoundsReport &rep)
 {
-    std::ostringstream os;
-    os << "{\"schema\":\"drsim-bounds-v1\",\"program\":\""
-       << json::escape(rep.program) << "\",\"valid\":"
-       << (rep.valid ? "true" : "false")
-       << ",\"issueWidth\":" << rep.limits.issueWidth
-       << ",\"maxLive\":{\"int\":" << rep.maxLive[0]
-       << ",\"fp\":" << rep.maxLive[1]
-       << "},\"criticalPathCycles\":" << rep.criticalPathCycles
-       << ",\"ipcBound\":" << rep.ipcBound
-       << ",\"steadyIpcBound\":" << rep.steadyIpcBound
-       << ",\"minRegsEstimate\":{\"int\":" << rep.minRegsEstimate[0]
-       << ",\"fp\":" << rep.minRegsEstimate[1] << "}";
-    os << ",\"liveRange\":{";
-    for (int c = 0; c < kNumRegClasses; ++c) {
-        const LiveRangeStats &lr = rep.liveRange[c];
-        os << (c == 0 ? "\"int\":{" : ",\"fp\":{")
-           << "\"mean\":" << lr.mean << ",\"p50\":" << lr.p50
-           << ",\"p90\":" << lr.p90 << ",\"max\":" << lr.max
-           << ",\"samples\":" << lr.samples << "}";
-    }
-    os << "},\"loops\":[";
-    bool first = true;
-    for (const LoopBound &lb : rep.loops) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "{\"header\":" << lb.header << ",\"depth\":" << lb.depth
-           << ",\"innermost\":" << (lb.innermost ? "true" : "false")
-           << ",\"reducible\":" << (lb.reducible ? "true" : "false")
-           << ",\"bodyInsts\":" << lb.bodyInsts
-           << ",\"mustInsts\":" << lb.mustInsts
-           << ",\"recII\":" << lb.recII << ",\"resII\":" << lb.resII
-           << ",\"ipcBound\":" << lb.ipcBound
-           << ",\"maxLive\":{\"int\":" << lb.maxLive[0]
-           << ",\"fp\":" << lb.maxLive[1] << "}}";
-    }
-    os << "]}";
-    return os.str();
+    json::Writer w;
+    writeBounds(w, rep);
+    return w.str();
 }
 
 } // namespace analysis

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "analysis/dataflow.hh"
+#include "common/json.hh"
 #include "workloads/program.hh"
 
 namespace drsim {
@@ -126,6 +127,9 @@ std::string formatBounds(const BoundsReport &report);
 
 /** Compact JSON object, schema "drsim-bounds-v1". */
 std::string boundsToJson(const BoundsReport &report);
+
+/** boundsToJson() as one object at @p w's current position. */
+void writeBounds(json::Writer &w, const BoundsReport &report);
 
 } // namespace analysis
 } // namespace drsim

@@ -1,6 +1,5 @@
 #include "json.hh"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -419,106 +418,70 @@ parse(const std::string &text)
     return Parser(text).parseDocument();
 }
 
-std::string
-escape(const std::string &s)
+void
+Writer::escapeChar(unsigned char c)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned char>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
+    switch (c) {
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\t': out_ += "\\t"; break;
+      case '\r': out_ += "\\r"; break;
+      case '\b': out_ += "\\b"; break;
+      case '\f': out_ += "\\f"; break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        out_ += buf;
+      }
     }
-    return out;
 }
 
 namespace {
 
 void
-serializeNumber(std::string &out, double v)
-{
-    // Exact integers in the 64-bit range print without a fraction so
-    // counters survive a parse/serialize round trip byte-for-byte;
-    // everything else uses the shortest round-tripping form.
-    if (v == std::floor(v) && !std::signbit(v) &&
-        v <= 18446744073709549568.0) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%llu",
-                      static_cast<unsigned long long>(v));
-        out += buf;
-        return;
-    }
-    if (v == std::floor(v) && v < 0.0 &&
-        v >= -9223372036854774784.0) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-        out += buf;
-        return;
-    }
-    char buf[64];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    out.append(buf, res.ptr);
-}
-
-void
-serializeValue(std::string &out, const Value &v)
+writeValue(Writer &w, const Value &v)
 {
     switch (v.kind()) {
       case Value::Kind::Null:
-        out += "null";
+        w.null();
         return;
       case Value::Kind::Bool:
-        out += v.asBool() ? "true" : "false";
+        w.value(v.asBool());
         return;
-      case Value::Kind::Number:
-        serializeNumber(out, v.asNumber());
+      case Value::Kind::Number: {
+        // Exact integers in the 64-bit range print without a fraction
+        // so counters survive a parse/serialize round trip
+        // byte-for-byte; everything else uses the shortest
+        // round-tripping form.
+        const double n = v.asNumber();
+        if (n == std::floor(n) && !std::signbit(n) &&
+            n <= 18446744073709549568.0)
+            w.value(static_cast<std::uint64_t>(n));
+        else if (n == std::floor(n) && n < 0.0 &&
+                 n >= -9223372036854774784.0)
+            w.value(static_cast<std::int64_t>(n));
+        else
+            w.value(n);
         return;
+      }
       case Value::Kind::String:
-        out += '"';
-        out += escape(v.asString());
-        out += '"';
+        w.value(v.asString());
         return;
-      case Value::Kind::Array: {
-        out += '[';
-        const auto &items = v.items();
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            if (i > 0)
-                out += ',';
-            serializeValue(out, items[i]);
+      case Value::Kind::Array:
+        w.beginArray();
+        for (const Value &item : v.items())
+            writeValue(w, item);
+        w.endArray();
+        return;
+      case Value::Kind::Object:
+        w.beginObject();
+        for (const auto &[key, member] : v.members()) {
+            w.key(key);
+            writeValue(w, member);
         }
-        out += ']';
+        w.endObject();
         return;
-      }
-      case Value::Kind::Object: {
-        out += '{';
-        const auto &members = v.members();
-        for (std::size_t i = 0; i < members.size(); ++i) {
-            if (i > 0)
-                out += ',';
-            out += '"';
-            out += escape(members[i].first);
-            out += "\":";
-            serializeValue(out, members[i].second);
-        }
-        out += '}';
-        return;
-      }
     }
     DRSIM_PANIC("invalid json::Value kind ", int(v.kind()));
 }
@@ -528,9 +491,9 @@ serializeValue(std::string &out, const Value &v)
 std::string
 serialize(const Value &v)
 {
-    std::string out;
-    serializeValue(out, v);
-    return out;
+    Writer w;
+    writeValue(w, v);
+    return w.str();
 }
 
 } // namespace json

@@ -1,9 +1,9 @@
 /**
  * @file
  * Minimal strict JSON support: a recursive-descent parser producing an
- * immutable value tree, and the string escaper shared by every JSON
- * emitter in the tree (the results exporter and the JSONL pipeline
- * trace).
+ * immutable value tree, and the one streaming Writer behind every JSON
+ * document drsim emits (artifacts, records, envelopes, wire replies,
+ * spec files, reports and the JSONL trace).
  *
  * The parser exists so the repo can *consume* its own artifacts — the
  * `stall_report` tool renders stall-breakdown tables from any results
@@ -20,9 +20,11 @@
 #ifndef DRSIM_COMMON_JSON_HH
 #define DRSIM_COMMON_JSON_HH
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -93,23 +95,161 @@ class Value
 Value parse(const std::string &text);
 
 /**
- * Escape @p s for inclusion inside a JSON string literal (quotes not
- * included).  Escapes the two mandatory characters, the common C
- * escapes, and all other control characters as \u00XX.
+ * Streaming JSON emitter: call beginObject()/key()/value()/endArray()
+ * and so on in document order, then take the text with str().  The
+ * Writer inserts every separator and owns the number format: integers
+ * print verbatim, doubles in the shortest std::to_chars form (so 2.0
+ * prints as "2").  Compact style has no whitespace.  Pretty style
+ * indents two spaces per level with one `"key": value` member or
+ * element per line, except that an array whose first element is a
+ * scalar stays on one line (`["compress", "doduc"]`); empty
+ * containers print as `{}` and `[]`.  No style ends the document with
+ * a newline.
  */
-std::string escape(const std::string &s);
+class Writer
+{
+  public:
+    enum class Style : std::uint8_t { Compact, Pretty };
+
+    explicit Writer(Style style = Style::Compact) : style_(style) {}
+
+    Writer &beginObject() { return open('{'); }
+    Writer &endObject() { return close('}'); }
+    Writer &beginArray() { return open('['); }
+    Writer &endArray() { return close(']'); }
+
+    /** The next member's key; its value must follow. */
+    Writer &
+    key(std::string_view name)
+    {
+        separate(false);
+        quoted(name);
+        out_ += ':';
+        if (style_ == Style::Pretty)
+            out_ += ' ';
+        afterKey_ = true;
+        return *this;
+    }
+
+    Writer &value(std::string_view s) { return scalar(s, true); }
+    /** Spelled out so a string literal does not convert to bool. */
+    Writer &value(const char *s) { return scalar(s, true); }
+    Writer &value(bool b) { return scalar(b ? "true" : "false", false); }
+    Writer &null() { return scalar("null", false); }
+
+    /** Integers and doubles (not float: its shortest form differs;
+     *  bool takes the exact-match overload above). */
+    template <class T>
+        requires std::integral<T> || std::same_as<T, double>
+    Writer &
+    value(T v)
+    {
+        char buf[32];
+        const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+        return scalar(std::string_view(buf, std::size_t(res.ptr - buf)),
+                      false);
+    }
+
+    const std::string &str() const { return out_; }
+
+  private:
+    /** An open container: no element yet, elements on the opening
+     *  line (always in compact style; a scalar-led array in pretty
+     *  style), or one element per line. */
+    enum class Frame : std::uint8_t { Empty, Inline, Block };
+
+    Writer &
+    scalar(std::string_view text, bool quote)
+    {
+        separate(true);
+        if (quote)
+            quoted(text);
+        else
+            out_ += text;
+        return *this;
+    }
+
+    Writer &
+    open(char bracket)
+    {
+        separate(false);
+        out_ += bracket;
+        stack_.push_back(Frame::Empty);
+        return *this;
+    }
+
+    Writer &
+    close(char bracket)
+    {
+        const Frame f = stack_.back();
+        stack_.pop_back();
+        if (f == Frame::Block)
+            newline();
+        out_ += bracket;
+        return *this;
+    }
+
+    /** Whatever separates the next token from the previous one; a
+     *  value right after its key needs nothing, so only a key or an
+     *  array element gets here, and only the latter can be a
+     *  scalar. */
+    void
+    separate(bool isScalar)
+    {
+        if (afterKey_ || stack_.empty()) {
+            afterKey_ = false;
+            return;
+        }
+        Frame &f = stack_.back();
+        if (f == Frame::Empty) {
+            f = style_ == Style::Compact || isScalar ? Frame::Inline
+                                                     : Frame::Block;
+        } else {
+            out_ += ',';
+            if (f == Frame::Inline && style_ == Style::Pretty)
+                out_ += ' ';
+        }
+        if (f == Frame::Block)
+            newline();
+    }
+
+    void
+    newline()
+    {
+        out_ += '\n';
+        out_.append(2 * stack_.size(), ' ');
+    }
+
+    void
+    quoted(std::string_view s)
+    {
+        out_ += '"';
+        for (const char c : s) {
+            const auto u = static_cast<unsigned char>(c);
+            if (u < 0x20 || c == '"' || c == '\\')
+                escapeChar(u);
+            else
+                out_ += c;
+        }
+        out_ += '"';
+    }
+
+    /** The two mandatory escapes, the common C escapes, and every
+     *  other control character as \u00XX. */
+    void escapeChar(unsigned char c);
+
+    std::string out_;
+    std::vector<Frame> stack_;
+    Style style_;
+    bool afterKey_ = false;
+};
 
 /**
- * Serialize @p v back to a compact (no-whitespace) JSON document.
- * Deterministic: object members keep their stored order, numbers that
- * are exact integers within the 64-bit range are emitted without a
- * fraction, and other numbers use the shortest string that round-trips
- * (std::to_chars).  parse(serialize(v)) reproduces @p v exactly.
- *
- * The serve layer uses this to embed request sub-documents (sweep
- * specs) and to re-emit cached result records; nothing here is meant
- * for human eyes — the pretty emitters in sim/runner.cc stay the
- * source of the documented artifacts.
+ * Serialize @p v to a compact (no-whitespace) JSON document through
+ * Writer.  Object members keep their stored order; numbers that are
+ * exact integers within the 64-bit range print without a fraction,
+ * so parse(serialize(v)) reproduces @p v exactly and counters survive
+ * a round trip byte for byte.
  */
 std::string serialize(const Value &v);
 

@@ -1087,32 +1087,29 @@ Processor::traceLine(const DynInst &in, bool squashed)
     if (traceFormat_ == TraceFormat::Jsonl) {
         // One self-contained JSON object per line; unknown stages are
         // null so consumers need no sentinel knowledge.
-        os << "{\"seq\":" << in.seq << ",\"pc\":" << in.pc
-           << ",\"op\":\"" << json::escape(disassemble(*in.si))
-           << "\",\"insert\":" << in.insertCycle << ",\"issue\":";
-        if (in.issueCycle != kInvalidCycle)
-            os << in.issueCycle;
-        else
-            os << "null";
-        os << ",\"complete\":";
-        if (in.completeCycle != kInvalidCycle)
-            os << in.completeCycle;
-        else
-            os << "null";
+        json::Writer w;
+        w.beginObject();
+        w.key("seq").value(in.seq);
+        w.key("pc").value(in.pc);
+        w.key("op").value(disassemble(*in.si));
+        w.key("insert").value(in.insertCycle);
+        w.key("issue");
+        in.issueCycle != kInvalidCycle ? w.value(in.issueCycle) : w.null();
+        w.key("complete");
+        in.completeCycle != kInvalidCycle ? w.value(in.completeCycle)
+                                          : w.null();
         if (squashed) {
-            os << ",\"squash\":" << now_;
+            w.key("squash").value(now_);
         } else {
-            os << ",\"retire\":" << now_;
+            w.key("retire").value(now_);
             if (in.isCondBranch())
-                os << ",\"mispredict\":"
-                   << (in.mispredicted ? "true" : "false");
-            if (in.isLoad())
-                os << ",\"cache_miss\":"
-                   << (in.cacheMiss ? "true" : "false")
-                   << ",\"forwarded\":"
-                   << (in.forwarded ? "true" : "false");
+                w.key("mispredict").value(in.mispredicted);
+            if (in.isLoad()) {
+                w.key("cache_miss").value(in.cacheMiss);
+                w.key("forwarded").value(in.forwarded);
+            }
         }
-        os << "}\n";
+        os << w.endObject().str() << '\n';
         return;
     }
     os << "seq=" << in.seq << " pc=0x" << std::hex << in.pc

@@ -125,37 +125,33 @@ parseSweepSpec(const std::string &text)
     return spec;
 }
 
+void
+writeSweepSpec(json::Writer &w, const SweepSpec &spec)
+{
+    w.beginObject();
+    w.key("name").value(spec.name);
+    w.key("description").value(spec.description);
+    w.key("suite").value(spec.suite);
+    w.key("export").value(spec.exportResults);
+    w.key("axes").beginObject();
+    for (const SweepSpec::AxisDecl &decl : spec.axes) {
+        w.key(decl.key).beginArray();
+        for (const std::uint64_t n : decl.nums)
+            w.value(n);
+        for (const std::string &str : decl.strs)
+            w.value(str);
+        w.endArray();
+    }
+    w.endObject();
+    w.endObject();
+}
+
 std::string
 sweepSpecJson(const SweepSpec &spec)
 {
-    std::string out = "{\n";
-    out += "  \"name\": \"" + json::escape(spec.name) + "\",\n";
-    out += "  \"description\": \"" + json::escape(spec.description) +
-           "\",\n";
-    out += "  \"suite\": \"" + json::escape(spec.suite) + "\",\n";
-    out += std::string("  \"export\": ") +
-           (spec.exportResults ? "true" : "false") + ",\n";
-    out += "  \"axes\": {\n";
-    for (std::size_t a = 0; a < spec.axes.size(); ++a) {
-        const SweepSpec::AxisDecl &decl = spec.axes[a];
-        out += "    \"" + json::escape(decl.key) + "\": [";
-        if (decl.strs.empty()) {
-            for (std::size_t i = 0; i < decl.nums.size(); ++i) {
-                if (i > 0)
-                    out += ", ";
-                out += std::to_string(decl.nums[i]);
-            }
-        } else {
-            for (std::size_t i = 0; i < decl.strs.size(); ++i) {
-                if (i > 0)
-                    out += ", ";
-                out += "\"" + json::escape(decl.strs[i]) + "\"";
-            }
-        }
-        out += a + 1 < spec.axes.size() ? "],\n" : "]\n";
-    }
-    out += "  }\n}\n";
-    return out;
+    json::Writer w(json::Writer::Style::Pretty);
+    writeSweepSpec(w, spec);
+    return w.str() + "\n";
 }
 
 GridDef

@@ -38,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "exp/grid.hh"
 #include "exp/registry.hh"
 
@@ -67,8 +68,11 @@ struct SweepSpec
 /** Parse a sweep-spec document; fatal() on malformed input. */
 SweepSpec parseSweepSpec(const std::string &text);
 
-/** Serialize @p spec back to its canonical JSON document form (used
- *  by the round-trip test). */
+/** Write @p spec as one JSON object at @p w's current position; the
+ *  pretty spec-file form and the compact wire form share it. */
+void writeSweepSpec(json::Writer &w, const SweepSpec &spec);
+
+/** Serialize @p spec to its canonical pretty spec-file form. */
 std::string sweepSpecJson(const SweepSpec &spec);
 
 /** Lower a parsed spec to the registry's grid form; fatal() on an

@@ -216,29 +216,23 @@ runViaServer(const std::string &hostPort, const std::string &request,
     return results;
 }
 
+/** Close a run request @p w by appending the run options of @p ctx;
+ *  the server applies them exactly as drsim_bench would locally. */
 std::string
-runRequestPrefix(const exp::RunContext &ctx)
+finishRunRequest(json::Writer &w, const exp::RunContext &ctx)
 {
-    std::string prefix =
-        "\"scale\":" + std::to_string(ctx.scale) +
-        ",\"max_committed\":" + std::to_string(ctx.maxCommitted);
+    w.key("scale").value(ctx.scale);
+    w.key("max_committed").value(ctx.maxCommitted);
     if (ctx.sampling.enabled()) {
-        prefix += ",\"sampling\":{\"interval\":" +
-                  std::to_string(ctx.sampling.interval) +
-                  ",\"window\":" +
-                  std::to_string(ctx.sampling.window) +
-                  ",\"warmup\":" +
-                  std::to_string(ctx.sampling.warmup) +
-                  ",\"warmff\":" +
-                  std::to_string(ctx.sampling.warmff) + "}";
+        w.key("sampling").beginObject();
+        writeSamplingMembers(w, ctx.sampling);
+        w.endObject();
     }
     if (!ctx.predictor.empty())
-        prefix += ",\"predictor\":\"" + json::escape(ctx.predictor) +
-                  "\"";
+        w.key("predictor").value(ctx.predictor);
     if (ctx.resultBuses >= 0)
-        prefix += ",\"result_buses\":" +
-                  std::to_string(ctx.resultBuses);
-    return prefix;
+        w.key("result_buses").value(ctx.resultBuses);
+    return w.endObject().str();
 }
 
 } // namespace
@@ -259,9 +253,11 @@ runExperimentViaServer(const exp::ExperimentDef &def,
         exp::expandExperiment(def, ctx);
     const std::vector<Workload> suite = exp::buildSuite(def, ctx);
 
-    const std::string request =
-        "{\"verb\":\"run\",\"experiment\":\"" +
-        json::escape(def.name) + "\"," + runRequestPrefix(ctx) + "}";
+    json::Writer w;
+    w.beginObject();
+    w.key("verb").value("run");
+    w.key("experiment").value(def.name);
+    const std::string request = finishRunRequest(w, ctx);
     const std::vector<ExperimentResult> results =
         runViaServer(hostPort, request, specs, suite);
 
@@ -295,10 +291,11 @@ runSweepSpecViaServer(const exp::SweepSpec &spec,
         spec.suite == "classic" ? exp::classicWorkloads()
                                 : buildSpec92Suite(ctx.scale);
 
-    const std::string request =
-        "{\"verb\":\"run\",\"spec\":" +
-        json::serialize(json::parse(exp::sweepSpecJson(spec))) +
-        "," + runRequestPrefix(ctx) + "}";
+    json::Writer w;
+    w.beginObject();
+    w.key("verb").value("run");
+    exp::writeSweepSpec(w.key("spec"), spec);
+    const std::string request = finishRunRequest(w, ctx);
     const std::vector<ExperimentResult> results =
         runViaServer(hostPort, request, specs, suite);
 

@@ -126,14 +126,15 @@ PointCache::store(const PointKey &key, const SimResult &result)
     const std::string keyText = pointKeyText(key, rev_);
     const std::string hash = fnv1aHex(keyText);
 
-    std::string envelope = "{\"drsim_cache\":1,\"computed_at_rev\":\"";
-    envelope += json::escape(rev_);
-    envelope += "\",\"key_hash\":\"" + hash + "\",\"key\":\"";
-    envelope += json::escape(keyText);
-    envelope += "\",\"result\":";
-    envelope += pointRecordJson(result);
-    envelope += "}\n";
-    if (store_.publish(hash, ".json", envelope))
+    json::Writer w;
+    w.beginObject();
+    w.key("drsim_cache").value(1);
+    w.key("computed_at_rev").value(rev_);
+    w.key("key_hash").value(hash);
+    w.key("key").value(keyText);
+    writePointRecord(w.key("result"), result);
+    w.endObject();
+    if (store_.publish(hash, ".json", w.str() + "\n"))
         store_.trim();
 }
 

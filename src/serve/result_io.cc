@@ -1,6 +1,6 @@
 #include "serve/result_io.hh"
 
-#include <charconv>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -9,211 +9,191 @@ namespace serve {
 
 namespace {
 
+const std::string kRecordTag =
+    "drsim-point-v" + std::to_string(kPointRecordVersion);
+
 StopReason
 stopReasonFromName(const std::string &name)
 {
-    if (name == "running")
-        return StopReason::Running;
-    if (name == "halted")
-        return StopReason::Halted;
-    if (name == "inst-limit")
-        return StopReason::InstLimit;
+    for (const StopReason s : {StopReason::Running, StopReason::Halted,
+                               StopReason::InstLimit}) {
+        if (name == stopReasonName(s))
+            return s;
+    }
     fatal("point record: unknown stop_reason '", name, "'");
 }
 
+/** A key and the field of @p S it names; the tables below are the
+ *  record's only spelling of each name, walked by both the encoder
+ *  and the decoder. */
+template <class S, class T>
+using Member = std::pair<const char *, T S::*>;
+
+constexpr Member<SampledStats, std::uint64_t> kSampledCounters[] = {
+    {"windows", &SampledStats::windows},
+    {"fast_forwarded", &SampledStats::fastForwarded},
+    {"warmup_insts", &SampledStats::warmupInsts},
+    {"measured_insts", &SampledStats::measuredInsts},
+    {"measured_cycles", &SampledStats::measuredCycles},
+};
+
+constexpr Member<SampledStats, double> kSampledEstimates[] = {
+    {"ipc_estimate", &SampledStats::ipcEstimate},
+    {"ci95", &SampledStats::ci95},
+};
+
+constexpr Member<ProcStats, std::uint64_t> kProcCounters[] = {
+    {"cycles", &ProcStats::cycles},
+    {"committed", &ProcStats::committed},
+    {"committed_loads", &ProcStats::committedLoads},
+    {"committed_stores", &ProcStats::committedStores},
+    {"committed_cond_branches", &ProcStats::committedCondBranches},
+    {"executed", &ProcStats::executed},
+    {"executed_loads", &ProcStats::executedLoads},
+    {"executed_stores", &ProcStats::executedStores},
+    {"executed_cond_branches", &ProcStats::executedCondBranches},
+    {"mispredicted_branches", &ProcStats::mispredictedBranches},
+    {"recoveries", &ProcStats::recoveries},
+    {"squashed_insts", &ProcStats::squashedInsts},
+    {"forwarded_loads", &ProcStats::forwardedLoads},
+    {"insert_stall_no_reg_cycles", &ProcStats::insertStallNoRegCycles},
+    {"insert_stall_dq_full_cycles", &ProcStats::insertStallDqFullCycles},
+    {"no_free_reg_cycles", &ProcStats::noFreeRegCycles},
+    {"fetch_blocked_cycles", &ProcStats::fetchBlockedCycles},
+    {"write_buffer_stall_cycles", &ProcStats::writeBufferStallCycles},
+};
+
+constexpr Member<ProcStats, Histogram> kProcHistograms[] = {
+    {"dq_depth", &ProcStats::dqDepth},
+    {"window_depth", &ProcStats::windowDepth},
+    {"store_queue_depth", &ProcStats::storeQueueDepth},
+};
+
+constexpr Member<DCacheStats, std::uint64_t> kDCacheCounters[] = {
+    {"loads", &DCacheStats::loads},
+    {"load_misses", &DCacheStats::loadMisses},
+    {"load_merges", &DCacheStats::loadMerges},
+    {"stores_buffered", &DCacheStats::storesBuffered},
+    {"store_hits", &DCacheStats::storeHits},
+    {"fetches_cancelled", &DCacheStats::fetchesCancelled},
+    {"mshr_rejections", &DCacheStats::mshrRejections},
+};
+
+constexpr Member<SimResult, std::uint64_t> kResultCounters[] = {
+    {"icache_accesses", &SimResult::icacheAccesses},
+    {"icache_misses", &SimResult::icacheMisses},
+};
+
+void put(json::Writer &w, std::uint64_t v) { w.value(v); }
+void put(json::Writer &w, double v) { w.value(v); }
+
+/** A histogram travels as its dense count vector. */
 void
-appendU64(std::string &out, std::uint64_t v)
+put(json::Writer &w, const Histogram &h)
 {
-    char buf[24];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    out.append(buf, res.ptr);
+    w.beginArray();
+    for (const std::uint64_t c : h.counts())
+        w.value(c);
+    w.endArray();
 }
 
+template <class T, std::size_t N>
 void
-appendDouble(std::string &out, double v)
+put(json::Writer &w, const T (&a)[N])
 {
-    char buf[64];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    out.append(buf, res.ptr);
+    w.beginArray();
+    for (const T &x : a)
+        put(w, x);
+    w.endArray();
 }
 
+template <class S, class T, std::size_t N>
 void
-appendKey(std::string &out, const char *key)
+writeMembers(json::Writer &w, const S &s, const Member<S, T> (&table)[N])
 {
-    out += '"';
-    out += key;
-    out += "\":";
+    for (const auto &[key, field] : table)
+        put(w.key(key), s.*field);
 }
 
+/** The inverse of put(): a dense count vector back to a histogram. */
 void
-appendHistogram(std::string &out, const Histogram &h)
+get(const json::Value &v, Histogram &out)
 {
-    out += '[';
-    const auto &counts = h.counts();
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-        if (i > 0)
-            out += ',';
-        appendU64(out, counts[i]);
-    }
-    out += ']';
-}
-
-Histogram
-parseHistogram(const json::Value &v)
-{
-    Histogram h;
+    out = Histogram();
     const auto &items = v.items();
     for (std::size_t i = 0; i < items.size(); ++i)
-        h.addSamples(i, items[i].asU64());
-    if (h.counts().size() != items.size()) {
+        out.addSamples(i, items[i].asU64());
+    if (out.counts().size() != items.size()) {
         // A trailing zero count cannot be produced by addSample/merge,
         // so a live histogram never serializes one; its presence means
         // the record was edited or corrupted.
         fatal("point record: histogram has a trailing zero count");
     }
-    return h;
+}
+
+void get(const json::Value &v, std::uint64_t &out) { out = v.asU64(); }
+void get(const json::Value &v, double &out) { out = v.asNumber(); }
+
+template <class T, std::size_t N>
+void
+get(const json::Value &v, T (&a)[N])
+{
+    if (v.items().size() != N)
+        fatal("point record: array has ", v.items().size(),
+              " entries (want ", N, ")");
+    for (std::size_t i = 0; i < N; ++i)
+        get(v.at(i), a[i]);
+}
+
+template <class S, class T, std::size_t N>
+void
+readMembers(const json::Value &obj, S &s, const Member<S, T> (&table)[N])
+{
+    for (const auto &[key, field] : table)
+        get(obj.at(key), s.*field);
 }
 
 } // namespace
 
+void
+writePointRecord(json::Writer &w, const SimResult &r)
+{
+    w.beginObject();
+    w.key("record").value(kRecordTag);
+    w.key("workload").value(r.workload);
+    w.key("fp_intensive").value(r.fpIntensive);
+    w.key("stop_reason").value(stopReasonName(r.stopReason));
+
+    w.key("sampled").beginObject();
+    w.key("enabled").value(r.sampled.enabled);
+    writeMembers(w, r.sampled, kSampledCounters);
+    writeMembers(w, r.sampled, kSampledEstimates);
+    w.endObject();
+
+    const ProcStats &p = r.proc;
+    w.key("proc").beginObject();
+    writeMembers(w, p, kProcCounters);
+    put(w.key("cause_cycles"), p.causeCycles);
+    writeMembers(w, p, kProcHistograms);
+    put(w.key("live"), p.live);
+    w.endObject();
+
+    w.key("dcache").beginObject();
+    writeMembers(w, r.dcache, kDCacheCounters);
+    w.endObject();
+
+    writeMembers(w, r, kResultCounters);
+    w.key("load_miss_rate").value(r.loadMissRate);
+    put(w.key("lifetime"), r.lifetime);
+    w.endObject();
+}
+
 std::string
 pointRecordJson(const SimResult &r)
 {
-    std::string out;
-    out.reserve(1024);
-    out += "{\"record\":\"drsim-point-v";
-    appendU64(out, kPointRecordVersion);
-    out += "\",";
-
-    appendKey(out, "workload");
-    out += '"' + json::escape(r.workload) + "\",";
-    appendKey(out, "fp_intensive");
-    out += r.fpIntensive ? "true," : "false,";
-    appendKey(out, "stop_reason");
-    out += std::string("\"") + stopReasonName(r.stopReason) + "\",";
-
-    const SampledStats &sm = r.sampled;
-    appendKey(out, "sampled");
-    out += '{';
-    appendKey(out, "enabled");
-    out += sm.enabled ? "true," : "false,";
-    const struct { const char *key; std::uint64_t value; } sfields[] = {
-        {"windows", sm.windows},
-        {"fast_forwarded", sm.fastForwarded},
-        {"warmup_insts", sm.warmupInsts},
-        {"measured_insts", sm.measuredInsts},
-        {"measured_cycles", sm.measuredCycles},
-    };
-    for (const auto &[key, value] : sfields) {
-        appendKey(out, key);
-        appendU64(out, value);
-        out += ',';
-    }
-    appendKey(out, "ipc_estimate");
-    appendDouble(out, sm.ipcEstimate);
-    out += ',';
-    appendKey(out, "ci95");
-    appendDouble(out, sm.ci95);
-    out += "},";
-
-    const ProcStats &p = r.proc;
-    appendKey(out, "proc");
-    out += '{';
-    const struct { const char *key; std::uint64_t value; } scalars[] = {
-        {"cycles", p.cycles},
-        {"committed", p.committed},
-        {"committed_loads", p.committedLoads},
-        {"committed_stores", p.committedStores},
-        {"committed_cond_branches", p.committedCondBranches},
-        {"executed", p.executed},
-        {"executed_loads", p.executedLoads},
-        {"executed_stores", p.executedStores},
-        {"executed_cond_branches", p.executedCondBranches},
-        {"mispredicted_branches", p.mispredictedBranches},
-        {"recoveries", p.recoveries},
-        {"squashed_insts", p.squashedInsts},
-        {"forwarded_loads", p.forwardedLoads},
-        {"insert_stall_no_reg_cycles", p.insertStallNoRegCycles},
-        {"insert_stall_dq_full_cycles", p.insertStallDqFullCycles},
-        {"no_free_reg_cycles", p.noFreeRegCycles},
-        {"fetch_blocked_cycles", p.fetchBlockedCycles},
-        {"write_buffer_stall_cycles", p.writeBufferStallCycles},
-    };
-    for (const auto &[key, value] : scalars) {
-        appendKey(out, key);
-        appendU64(out, value);
-        out += ',';
-    }
-    appendKey(out, "cause_cycles");
-    out += '[';
-    for (int c = 0; c < kNumCycleCauses; ++c) {
-        if (c > 0)
-            out += ',';
-        appendU64(out, p.causeCycles[c]);
-    }
-    out += "],";
-    appendKey(out, "dq_depth");
-    appendHistogram(out, p.dqDepth);
-    out += ',';
-    appendKey(out, "window_depth");
-    appendHistogram(out, p.windowDepth);
-    out += ',';
-    appendKey(out, "store_queue_depth");
-    appendHistogram(out, p.storeQueueDepth);
-    out += ',';
-    appendKey(out, "live");
-    out += '[';
-    for (int cls = 0; cls < kNumRegClasses; ++cls) {
-        if (cls > 0)
-            out += ',';
-        out += '[';
-        for (int level = 0; level < 4; ++level) {
-            if (level > 0)
-                out += ',';
-            appendHistogram(out, p.live[cls][level]);
-        }
-        out += ']';
-    }
-    out += "]},";
-
-    const DCacheStats &d = r.dcache;
-    appendKey(out, "dcache");
-    out += '{';
-    const struct { const char *key; std::uint64_t value; } dfields[] = {
-        {"loads", d.loads},
-        {"load_misses", d.loadMisses},
-        {"load_merges", d.loadMerges},
-        {"stores_buffered", d.storesBuffered},
-        {"store_hits", d.storeHits},
-        {"fetches_cancelled", d.fetchesCancelled},
-        {"mshr_rejections", d.mshrRejections},
-    };
-    for (std::size_t i = 0; i < std::size(dfields); ++i) {
-        if (i > 0)
-            out += ',';
-        appendKey(out, dfields[i].key);
-        appendU64(out, dfields[i].value);
-    }
-    out += "},";
-
-    appendKey(out, "icache_accesses");
-    appendU64(out, r.icacheAccesses);
-    out += ',';
-    appendKey(out, "icache_misses");
-    appendU64(out, r.icacheMisses);
-    out += ',';
-    appendKey(out, "load_miss_rate");
-    appendDouble(out, r.loadMissRate);
-    out += ',';
-    appendKey(out, "lifetime");
-    out += '[';
-    for (int cls = 0; cls < kNumRegClasses; ++cls) {
-        if (cls > 0)
-            out += ',';
-        appendHistogram(out, r.lifetime[cls]);
-    }
-    out += "]}";
-    return out;
+    json::Writer w;
+    writePointRecord(w, r);
+    return w.str();
 }
 
 SimResult
@@ -221,11 +201,9 @@ parsePointRecord(const json::Value &v)
 {
     if (!v.isObject())
         fatal("point record: not a JSON object");
-    const std::string expected =
-        "drsim-point-v" + std::to_string(kPointRecordVersion);
-    if (v.at("record").asString() != expected) {
+    if (v.at("record").asString() != kRecordTag) {
         fatal("point record: version tag '",
-              v.at("record").asString(), "' (want '", expected, "')");
+              v.at("record").asString(), "' (want '", kRecordTag, "')");
     }
 
     SimResult r;
@@ -234,87 +212,21 @@ parsePointRecord(const json::Value &v)
     r.stopReason = stopReasonFromName(v.at("stop_reason").asString());
 
     const json::Value &sampled = v.at("sampled");
-    SampledStats &sm = r.sampled;
-    sm.enabled = sampled.at("enabled").asBool();
-    sm.windows = sampled.at("windows").asU64();
-    sm.fastForwarded = sampled.at("fast_forwarded").asU64();
-    sm.warmupInsts = sampled.at("warmup_insts").asU64();
-    sm.measuredInsts = sampled.at("measured_insts").asU64();
-    sm.measuredCycles = sampled.at("measured_cycles").asU64();
-    sm.ipcEstimate = sampled.at("ipc_estimate").asNumber();
-    sm.ci95 = sampled.at("ci95").asNumber();
+    r.sampled.enabled = sampled.at("enabled").asBool();
+    readMembers(sampled, r.sampled, kSampledCounters);
+    readMembers(sampled, r.sampled, kSampledEstimates);
 
     const json::Value &proc = v.at("proc");
     ProcStats &p = r.proc;
-    p.cycles = proc.at("cycles").asU64();
-    p.committed = proc.at("committed").asU64();
-    p.committedLoads = proc.at("committed_loads").asU64();
-    p.committedStores = proc.at("committed_stores").asU64();
-    p.committedCondBranches =
-        proc.at("committed_cond_branches").asU64();
-    p.executed = proc.at("executed").asU64();
-    p.executedLoads = proc.at("executed_loads").asU64();
-    p.executedStores = proc.at("executed_stores").asU64();
-    p.executedCondBranches = proc.at("executed_cond_branches").asU64();
-    p.mispredictedBranches = proc.at("mispredicted_branches").asU64();
-    p.recoveries = proc.at("recoveries").asU64();
-    p.squashedInsts = proc.at("squashed_insts").asU64();
-    p.forwardedLoads = proc.at("forwarded_loads").asU64();
-    p.insertStallNoRegCycles =
-        proc.at("insert_stall_no_reg_cycles").asU64();
-    p.insertStallDqFullCycles =
-        proc.at("insert_stall_dq_full_cycles").asU64();
-    p.noFreeRegCycles = proc.at("no_free_reg_cycles").asU64();
-    p.fetchBlockedCycles = proc.at("fetch_blocked_cycles").asU64();
-    p.writeBufferStallCycles =
-        proc.at("write_buffer_stall_cycles").asU64();
+    readMembers(proc, p, kProcCounters);
+    get(proc.at("cause_cycles"), p.causeCycles);
+    readMembers(proc, p, kProcHistograms);
+    get(proc.at("live"), p.live);
 
-    const json::Value &causes = proc.at("cause_cycles");
-    if (int(causes.items().size()) != kNumCycleCauses) {
-        fatal("point record: cause_cycles has ",
-              causes.items().size(), " entries (want ",
-              kNumCycleCauses, ")");
-    }
-    for (int c = 0; c < kNumCycleCauses; ++c)
-        p.causeCycles[c] = causes.at(std::size_t(c)).asU64();
-
-    p.dqDepth = parseHistogram(proc.at("dq_depth"));
-    p.windowDepth = parseHistogram(proc.at("window_depth"));
-    p.storeQueueDepth = parseHistogram(proc.at("store_queue_depth"));
-    const json::Value &live = proc.at("live");
-    if (int(live.items().size()) != kNumRegClasses)
-        fatal("point record: live has ", live.items().size(),
-              " register classes");
-    for (int cls = 0; cls < kNumRegClasses; ++cls) {
-        const json::Value &levels = live.at(std::size_t(cls));
-        if (levels.items().size() != 4)
-            fatal("point record: live[", cls, "] has ",
-                  levels.items().size(), " levels (want 4)");
-        for (int level = 0; level < 4; ++level) {
-            p.live[cls][level] =
-                parseHistogram(levels.at(std::size_t(level)));
-        }
-    }
-
-    const json::Value &dcache = v.at("dcache");
-    DCacheStats &d = r.dcache;
-    d.loads = dcache.at("loads").asU64();
-    d.loadMisses = dcache.at("load_misses").asU64();
-    d.loadMerges = dcache.at("load_merges").asU64();
-    d.storesBuffered = dcache.at("stores_buffered").asU64();
-    d.storeHits = dcache.at("store_hits").asU64();
-    d.fetchesCancelled = dcache.at("fetches_cancelled").asU64();
-    d.mshrRejections = dcache.at("mshr_rejections").asU64();
-
-    r.icacheAccesses = v.at("icache_accesses").asU64();
-    r.icacheMisses = v.at("icache_misses").asU64();
+    readMembers(v.at("dcache"), r.dcache, kDCacheCounters);
+    readMembers(v, r, kResultCounters);
     r.loadMissRate = v.at("load_miss_rate").asNumber();
-    const json::Value &lifetime = v.at("lifetime");
-    if (int(lifetime.items().size()) != kNumRegClasses)
-        fatal("point record: lifetime has ",
-              lifetime.items().size(), " register classes");
-    for (int cls = 0; cls < kNumRegClasses; ++cls)
-        r.lifetime[cls] = parseHistogram(lifetime.at(std::size_t(cls)));
+    get(v.at("lifetime"), r.lifetime);
     return r;
 }
 

@@ -19,8 +19,9 @@
  * Round-trip guarantees:
  *  - integers are emitted verbatim (all counters here are far below
  *    2^53, the exactness limit of the double-backed JSON parser);
- *  - the single stored double (load_miss_rate) uses std::to_chars
- *    shortest form, which parses back to the identical bit pattern;
+ *  - the stored doubles (load_miss_rate and the sampled estimate) use
+ *    std::to_chars shortest form, which parses back to the identical
+ *    bit pattern;
  *  - histograms serialize their dense count vectors; the trailing
  *    element is nonzero by construction, so the reconstructed extent
  *    matches exactly.
@@ -29,9 +30,12 @@
  * fatal() (a catchable FatalError) — the cache layer treats that as a
  * corrupt entry and falls back to recomputing.
  *
- * When SimResult/ProcStats/DCacheStats grow a field, this file must
- * follow and kPointRecordVersion must be bumped (which retires every
- * cached record); tests/test_serve.cc holds the round-trip line.
+ * Each SampledStats, ProcStats and DCacheStats field is named once, in
+ * a {key, member-pointer} table that both writePointRecord() and
+ * parsePointRecord() walk.  A new field is one table row plus a
+ * kPointRecordVersion bump (which retires every cached record);
+ * tests/test_serve.cc round-trips records and rejects one missing any
+ * member.
  */
 
 #ifndef DRSIM_SERVE_RESULT_IO_HH
@@ -48,6 +52,10 @@ namespace serve {
 /** Version tag embedded in every record ("drsim-point-v2").
  *  v2 added the sampled-mode block (SimResult::sampled). */
 constexpr int kPointRecordVersion = 2;
+
+/** Write @p r as one record value at @p w's current position (a
+ *  top-level document, an array element, or a member's value). */
+void writePointRecord(json::Writer &w, const SimResult &r);
 
 /** Serialize @p r to a compact, deterministic JSON object. */
 std::string pointRecordJson(const SimResult &r);

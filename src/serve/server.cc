@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
@@ -42,19 +43,26 @@ logLine(std::uint64_t connId, const std::string &msg)
                  static_cast<unsigned long long>(connId), msg.c_str());
 }
 
-/** `"id":"...",` when the request carried an id, else empty. */
-std::string
-idField(const std::string &id)
+/** A reply object opened with its "reply" kind and, when the request
+ *  carried a string "id", that id verbatim (the empty string too). */
+json::Writer
+openReply(const char *kind, const std::optional<std::string> &id)
 {
-    if (id.empty())
-        return "";
-    return "\"id\":\"" + json::escape(id) + "\",";
+    json::Writer w;
+    w.beginObject();
+    w.key("reply").value(kind);
+    if (id.has_value())
+        w.key("id").value(*id);
+    return w;
 }
 
-std::string
-u64Field(const char *key, std::uint64_t v)
+/** Wall-clock seconds at the wire's millisecond resolution. */
+double
+wireSeconds(std::chrono::steady_clock::time_point since)
 {
-    return std::string("\"") + key + "\":" + std::to_string(v);
+    const std::chrono::duration<double, std::milli> ms =
+        std::chrono::steady_clock::now() - since;
+    return std::round(ms.count()) / 1000.0;
 }
 
 } // namespace
@@ -258,7 +266,7 @@ Server::connectionLoop(int fd, std::uint64_t connId)
         }
         buffer.erase(0, start);
         if (buffer.size() > kMaxLineBytes) {
-            sendError(fd, "", "line-too-long",
+            sendError(fd, std::nullopt, "line-too-long",
                       "request line exceeds 4 MiB");
             open = false;
         }
@@ -299,14 +307,14 @@ Server::sendLine(int fd, const std::string &reply)
 }
 
 bool
-Server::sendError(int fd, const std::string &id, const char *code,
-                  const std::string &message)
+Server::sendError(int fd, const std::optional<std::string> &id,
+                  const char *code, const std::string &message)
 {
     ++requestErrors_;
-    return sendLine(fd, "{\"reply\":\"error\"," + idField(id) +
-                            "\"code\":\"" + code +
-                            "\",\"message\":\"" +
-                            json::escape(message) + "\"}");
+    json::Writer w = openReply("error", id);
+    w.key("code").value(code);
+    w.key("message").value(message);
+    return sendLine(fd, w.endObject().str());
 }
 
 void
@@ -319,15 +327,15 @@ Server::handleLine(int fd, std::uint64_t connId,
         req = json::parse(line);
     } catch (const FatalError &e) {
         logLine(connId, std::string("bad json: ") + e.what());
-        sendError(fd, "", "bad-json", e.what());
+        sendError(fd, std::nullopt, "bad-json", e.what());
         return;
     }
     if (!req.isObject()) {
-        sendError(fd, "", "bad-request",
+        sendError(fd, std::nullopt, "bad-request",
                   "request must be a JSON object");
         return;
     }
-    std::string id;
+    std::optional<std::string> id;
     if (const json::Value *v = req.find("id");
         v != nullptr && v->isString())
         id = v->asString();
@@ -341,8 +349,9 @@ Server::handleLine(int fd, std::uint64_t connId,
 
     try {
         if (verb->asString() == "ping") {
-            sendLine(fd, "{\"reply\":\"pong\"," + idField(id) +
-                             "\"server\":\"drsim_serve\"}");
+            json::Writer w = openReply("pong", id);
+            w.key("server").value("drsim_serve");
+            sendLine(fd, w.endObject().str());
         } else if (verb->asString() == "stats") {
             handleStats(fd);
         } else if (verb->asString() == "run") {
@@ -364,53 +373,42 @@ Server::handleStats(int fd)
 {
     const SweepService::Stats s = service_.stats();
     const PointCache::Stats c = service_.cache().stats();
-    const double uptime =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - started_)
-            .count();
-    char uptimeBuf[32];
-    std::snprintf(uptimeBuf, sizeof(uptimeBuf), "%.3f", uptime);
-
-    std::string out = "{\"reply\":\"stats\",";
-    out += "\"uptime_seconds\":";
-    out += uptimeBuf;
-    out += ",";
-    out += u64Field("jobs", std::uint64_t(service_.jobs())) + ",";
-    out += "\"rev\":\"" + json::escape(service_.cache().rev()) +
-           "\",";
-    out += "\"cache_dir\":\"" +
-           json::escape(service_.cache().dir()) + "\",";
-    out += u64Field("connections", connectionsTotal_.load()) + ",";
-    out += u64Field("requests", requests_.load()) + ",";
-    out += u64Field("request_errors", requestErrors_.load()) + ",";
-    out += u64Field("points", s.points) + ",";
-    out += u64Field("memory_hits", s.memoryHits) + ",";
-    out += u64Field("disk_hits", s.diskHits) + ",";
-    out += u64Field("computed", s.computed) + ",";
-    out += u64Field("coalesced", s.coalesced) + ",";
-    out += u64Field("in_flight", s.inFlight) + ",";
-    out += u64Field("point_errors", s.errors) + ",";
-    out += u64Field("cache_hits", c.hits) + ",";
-    out += u64Field("cache_misses", c.misses) + ",";
-    out += u64Field("cache_corrupt", c.corrupt) + ",";
-    out += u64Field("cache_stores", c.stores) + ",";
-    out += u64Field("cache_evicted", c.evicted) + ",";
     const CkptStore::Stats k = ckptLibrary().stats();
-    out += u64Field("ckpt_hits", k.hits) + ",";
-    out += u64Field("ckpt_misses", k.misses) + ",";
-    out += u64Field("ckpt_corrupt", k.corrupt) + ",";
-    out += u64Field("ckpt_stores", k.stores) + ",";
-    out += u64Field("ckpt_evicted", k.evicted) + ",";
-    out += u64Field("ckpt_generated", k.generated) + ",";
-    out += u64Field("ckpt_coalesced", k.coalesced) + ",";
-    out += u64Field("ckpt_memory_hits", k.memoryHits);
-    out += "}";
-    sendLine(fd, out);
+    json::Writer w = openReply("stats", std::nullopt);
+    w.key("uptime_seconds").value(wireSeconds(started_));
+    w.key("jobs").value(service_.jobs());
+    w.key("rev").value(service_.cache().rev());
+    w.key("cache_dir").value(service_.cache().dir());
+    w.key("connections").value(connectionsTotal_.load());
+    w.key("requests").value(requests_.load());
+    w.key("request_errors").value(requestErrors_.load());
+    w.key("points").value(s.points);
+    w.key("memory_hits").value(s.memoryHits);
+    w.key("disk_hits").value(s.diskHits);
+    w.key("computed").value(s.computed);
+    w.key("coalesced").value(s.coalesced);
+    w.key("in_flight").value(s.inFlight);
+    w.key("point_errors").value(s.errors);
+    w.key("cache_hits").value(c.hits);
+    w.key("cache_misses").value(c.misses);
+    w.key("cache_corrupt").value(c.corrupt);
+    w.key("cache_stores").value(c.stores);
+    w.key("cache_evicted").value(c.evicted);
+    w.key("ckpt_hits").value(k.hits);
+    w.key("ckpt_misses").value(k.misses);
+    w.key("ckpt_corrupt").value(k.corrupt);
+    w.key("ckpt_stores").value(k.stores);
+    w.key("ckpt_evicted").value(k.evicted);
+    w.key("ckpt_generated").value(k.generated);
+    w.key("ckpt_coalesced").value(k.coalesced);
+    w.key("ckpt_memory_hits").value(k.memoryHits);
+    sendLine(fd, w.endObject().str());
 }
 
 void
 Server::handleRun(int fd, std::uint64_t connId,
-                  const json::Value &req, const std::string &id)
+                  const json::Value &req,
+                  const std::optional<std::string> &id)
 {
     // Strict key validation: a typoed knob silently ignored would
     // quietly serve the wrong sweep.  "jobs" gets its own error —
@@ -587,15 +585,14 @@ Server::handleRun(int fd, std::uint64_t connId,
     for (const Workload &w : *suite)
         digests.push_back(programDigest(w.program));
 
-    sendLine(fd, "{\"reply\":\"ack\"," + idField(id) +
-                     "\"run\":\"" + json::escape(runName) + "\"," +
-                     u64Field("specs", numSpecs) + "," +
-                     u64Field("workloads", numWl) + "," +
-                     u64Field("points", numPoints) + "," +
-                     u64Field("scale", std::uint64_t(ctx.scale)) +
-                     "," +
-                     u64Field("max_committed", ctx.maxCommitted) +
-                     "}");
+    json::Writer ack = openReply("ack", id);
+    ack.key("run").value(runName);
+    ack.key("specs").value(numSpecs);
+    ack.key("workloads").value(numWl);
+    ack.key("points").value(numPoints);
+    ack.key("scale").value(ctx.scale);
+    ack.key("max_committed").value(ctx.maxCommitted);
+    sendLine(fd, ack.endObject().str());
 
     // Stream each point as it completes.  The callbacks only queue;
     // this thread does all socket writes, so replies never interleave.
@@ -657,28 +654,17 @@ Server::handleRun(int fd, std::uint64_t connId,
             ++coalesced;
         if (!writable)
             continue;
-        std::string reply = "{\"reply\":\"point\"," + idField(id) +
-                            "\"spec\":\"" +
-                            json::escape(specs[si].name) +
-                            "\",\"workload\":\"" +
-                            json::escape((*suite)[wi].spec->name) +
-                            "\",\"cache_hit\":";
-        reply += outcome.cacheHit ? "true" : "false";
-        reply += ",\"coalesced\":";
-        reply += outcome.coalesced ? "true" : "false";
-        reply += ",\"computed_at_rev\":\"" +
-                 json::escape(outcome.rev) + "\",\"result\":";
-        reply += pointRecordJson(outcome.result);
-        reply += "}";
-        writable = sendLine(fd, reply);
+        json::Writer w = openReply("point", id);
+        w.key("spec").value(specs[si].name);
+        w.key("workload").value((*suite)[wi].spec->name);
+        w.key("cache_hit").value(outcome.cacheHit);
+        w.key("coalesced").value(outcome.coalesced);
+        w.key("computed_at_rev").value(outcome.rev);
+        writePointRecord(w.key("result"), outcome.result);
+        writable = sendLine(fd, w.endObject().str());
     }
 
-    const double seconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - runStart)
-            .count();
-    char secondsBuf[32];
-    std::snprintf(secondsBuf, sizeof(secondsBuf), "%.3f", seconds);
+    const double seconds = wireSeconds(runStart);
 
     if (!firstError.empty()) {
         logLine(connId, "run " + runName + " failed: " + firstError);
@@ -694,23 +680,24 @@ Server::handleRun(int fd, std::uint64_t connId,
                 specs[si], SuiteResult(std::move(grid[si]))});
         }
         const RunInfo info{runName, ctx.scale, ctx.maxCommitted};
-        writable = sendLine(
-            fd, "{\"reply\":\"document\"," + idField(id) +
-                    "\"name\":\"" + json::escape(runName) +
-                    "\",\"json\":\"" +
-                    json::escape(resultsJson(info, results)) +
-                    "\"}");
+        json::Writer w = openReply("document", id);
+        w.key("name").value(runName);
+        w.key("json").value(resultsJson(info, results));
+        writable = sendLine(fd, w.endObject().str());
     }
 
     if (writable) {
-        sendLine(fd, "{\"reply\":\"done\"," + idField(id) +
-                         "\"run\":\"" + json::escape(runName) +
-                         "\"," + u64Field("points", numPoints) + "," +
-                         u64Field("cache_hits", cacheHits) + "," +
-                         u64Field("computed", computed) + "," +
-                         u64Field("coalesced", coalesced) +
-                         ",\"seconds\":" + secondsBuf + "}");
+        json::Writer w = openReply("done", id);
+        w.key("run").value(runName);
+        w.key("points").value(numPoints);
+        w.key("cache_hits").value(cacheHits);
+        w.key("computed").value(computed);
+        w.key("coalesced").value(coalesced);
+        w.key("seconds").value(seconds);
+        sendLine(fd, w.endObject().str());
     }
+    char secondsBuf[32];
+    std::snprintf(secondsBuf, sizeof(secondsBuf), "%.3f", seconds);
     logLine(connId, "run " + runName + " done: " +
                         std::to_string(numPoints) + " points, " +
                         std::to_string(cacheHits) + " cache hits, " +

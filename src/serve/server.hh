@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -94,13 +95,14 @@ class Server
     void handleLine(int fd, std::uint64_t connId,
                     const std::string &line);
     void handleRun(int fd, std::uint64_t connId,
-                   const json::Value &req, const std::string &id);
+                   const json::Value &req,
+                   const std::optional<std::string> &id);
     void handleStats(int fd);
     /** Best-effort write of @p reply + '\n'; false when the peer is
      *  gone (callers keep draining but stop writing). */
     bool sendLine(int fd, const std::string &reply);
-    bool sendError(int fd, const std::string &id, const char *code,
-                   const std::string &message);
+    bool sendError(int fd, const std::optional<std::string> &id,
+                   const char *code, const std::string &message);
     void reapFinished();
 
     ServerOptions opts_;

@@ -98,24 +98,23 @@ std::string
 encodeMeta(const std::string &key_text, const std::string &hash,
            const std::string &rev, const SampleCkpts &plan)
 {
-    std::string doc = "{\"drsim_ckpt\":1,\"computed_at_rev\":\"";
-    const auto list = [&doc](const std::vector<std::uint64_t> &v) {
-        for (std::size_t i = 0; i < v.size(); ++i) {
-            if (i != 0)
-                doc += ",";
-            doc += std::to_string(v[i]);
-        }
-    };
-    doc += json::escape(rev);
-    doc += "\",\"key_hash\":\"" + hash + "\",\"key\":\"";
-    doc += json::escape(key_text);
-    doc += "\",\"arch_length\":" + std::to_string(plan.archLength);
-    doc += ",\"positions\":[";
-    list(plan.positions);
-    doc += "],\"detail_starts\":[";
-    list(plan.detailStarts);
-    doc += "]}\n";
-    return doc;
+    json::Writer w;
+    w.beginObject();
+    w.key("drsim_ckpt").value(1);
+    w.key("computed_at_rev").value(rev);
+    w.key("key_hash").value(hash);
+    w.key("key").value(key_text);
+    w.key("arch_length").value(plan.archLength);
+    w.key("positions").beginArray();
+    for (const std::uint64_t p : plan.positions)
+        w.value(p);
+    w.endArray();
+    w.key("detail_starts").beginArray();
+    for (const std::uint64_t d : plan.detailStarts)
+        w.value(d);
+    w.endArray();
+    w.endObject();
+    return w.str() + "\n";
 }
 
 /** Decode a meta file into @p plan; "" or why it is unusable. */

@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "sim/simulator.hh"
 
 namespace drsim {
@@ -92,6 +93,10 @@ struct RunInfo
     /** DRSIM_MAX_COMMITTED in effect (0 = run to halt). */
     std::uint64_t maxCommitted = 0;
 };
+
+/** The interval/window/warmup/warmff members of @p s, in the order
+ *  every document that carries sampling parameters uses. */
+void writeSamplingMembers(json::Writer &w, const SamplingConfig &s);
 
 /**
  * Serialize an experiment batch to the schema in

@@ -409,6 +409,40 @@ TEST(Bounds, EveryKernelHasFiniteBoundsAndJsonRoundTrips)
     }
 }
 
+TEST(Bounds, JsonDoublesParseBackExactly)
+{
+    // The report's doubles print in shortest round-trip form, so every
+    // one parses back to the identical value (a 6-significant-digit
+    // stream format would turn 4.482758... into 4.48276).
+    const MachineLimits lim = MachineLimits::forIssueWidth(4);
+    for (const auto &w : buildSpec92Suite(1)) {
+        const BoundsReport rep = analysis::computeBounds(w.program, lim);
+        const json::Value v = json::parse(analysis::boundsToJson(rep));
+        const std::string &name = w.spec->name;
+        EXPECT_EQ(v.at("ipcBound").asNumber(), rep.ipcBound) << name;
+        EXPECT_EQ(v.at("steadyIpcBound").asNumber(), rep.steadyIpcBound)
+            << name;
+        EXPECT_EQ(v.at("criticalPathCycles").asNumber(),
+                  rep.criticalPathCycles)
+            << name;
+        EXPECT_EQ(v.at("liveRange").at("int").at("mean").asNumber(),
+                  rep.liveRange[0].mean)
+            << name;
+        EXPECT_EQ(v.at("liveRange").at("fp").at("mean").asNumber(),
+                  rep.liveRange[1].mean)
+            << name;
+        const auto &loops = v.at("loops").items();
+        ASSERT_EQ(loops.size(), rep.loops.size()) << name;
+        for (std::size_t i = 0; i < loops.size(); ++i) {
+            const analysis::LoopBound &lb = rep.loops[i];
+            EXPECT_EQ(loops[i].at("recII").asNumber(), lb.recII) << name;
+            EXPECT_EQ(loops[i].at("resII").asNumber(), lb.resII) << name;
+            EXPECT_EQ(loops[i].at("ipcBound").asNumber(), lb.ipcBound)
+                << name;
+        }
+    }
+}
+
 TEST(Bounds, DividerBoundLoopIsTighterThanIssueWidth)
 {
     // One fdivd per iteration against one unpipelined divider: the

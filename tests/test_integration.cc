@@ -72,6 +72,17 @@ struct TimingConfig
     CacheKind cache;
 };
 
+// Print the case by value, as for ClassLimitCase in
+// test_processor_edge.cc: the raw-byte dump would include the
+// struct's uninitialised padding and change the test name per build.
+void
+PrintTo(const TimingConfig &tc, std::ostream *os)
+{
+    *os << "w" << tc.issueWidth << "-dq" << tc.dqSize << "-r"
+        << tc.numPhysRegs << "-" << exceptionModelName(tc.model) << "-"
+        << cacheKindName(tc.cache);
+}
+
 class TimingIndependence
     : public ::testing::TestWithParam<TimingConfig>
 {};

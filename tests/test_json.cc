@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the strict JSON parser and escaper (common/json.hh).
+ * Tests for the strict JSON parser and the streaming Writer
+ * (common/json.hh), including its string escaping.
  *
  * The parser guards the results pipeline: stall_report and the
  * exporter round-trip tests consume artifacts through it, so it has
@@ -10,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "common/json.hh"
@@ -126,20 +129,143 @@ TEST(Json, ErrorsCarryLocation)
 
 // -------------------------------------------------------------- escape
 
+/** @p s as a JSON string literal, through the Writer. */
+std::string
+quoted(const std::string &s)
+{
+    return json::Writer().value(s).str();
+}
+
 TEST(Json, EscapeRoundTripsThroughParse)
 {
     const std::string hostile =
         "plain \"quoted\" back\\slash\nnl\ttab\rcr\bbs\fff "
         "\x01\x1f high\xc3\xa9";
-    const std::string doc = "\"" + json::escape(hostile) + "\"";
-    EXPECT_EQ(json::parse(doc).asString(), hostile);
+    EXPECT_EQ(json::parse(quoted(hostile)).asString(), hostile);
 }
 
 TEST(Json, EscapeLeavesPlainTextAlone)
 {
-    EXPECT_EQ(json::escape("abc 123 ~"), "abc 123 ~");
-    EXPECT_EQ(json::escape("q\"q"), "q\\\"q");
-    EXPECT_EQ(json::escape(std::string(1, '\x02')), "\\u0002");
+    EXPECT_EQ(quoted("abc 123 ~"), "\"abc 123 ~\"");
+    EXPECT_EQ(quoted("q\"q"), "\"q\\\"q\"");
+    EXPECT_EQ(quoted(std::string(1, '\x02')), "\"\\u0002\"");
+}
+
+// -------------------------------------------------------------- Writer
+
+using json::Writer;
+
+/** {"name": "x", "axes": {"w": [4, 8], "e": []}, "runs": [{..}, {..}],
+ *  "none": {}} through @p w. */
+std::string
+sampleDocument(Writer w)
+{
+    w.beginObject();
+    w.key("name").value("x");
+    w.key("axes").beginObject();
+    w.key("w").beginArray().value(4).value(8).endArray();
+    w.key("e").beginArray().endArray();
+    w.endObject();
+    w.key("runs").beginArray();
+    for (int i = 0; i < 2; ++i) {
+        w.beginObject();
+        w.key("id").value(i);
+        w.key("ok").value(i == 0);
+        w.key("ipc").null();
+        w.endObject();
+    }
+    w.endArray();
+    w.key("none").beginObject().endObject();
+    w.endObject();
+    return w.str();
+}
+
+TEST(JsonWriter, CompactLayout)
+{
+    EXPECT_EQ(sampleDocument(Writer()),
+              "{\"name\":\"x\",\"axes\":{\"w\":[4,8],\"e\":[]},"
+              "\"runs\":[{\"id\":0,\"ok\":true,\"ipc\":null},"
+              "{\"id\":1,\"ok\":false,\"ipc\":null}],\"none\":{}}");
+}
+
+TEST(JsonWriter, PrettyLayout)
+{
+    // Two-space indent, "key": value members, an array opened by a
+    // scalar stays on one line, empty containers stay closed.
+    EXPECT_EQ(sampleDocument(Writer(Writer::Style::Pretty)),
+              "{\n"
+              "  \"name\": \"x\",\n"
+              "  \"axes\": {\n"
+              "    \"w\": [4, 8],\n"
+              "    \"e\": []\n"
+              "  },\n"
+              "  \"runs\": [\n"
+              "    {\n"
+              "      \"id\": 0,\n"
+              "      \"ok\": true,\n"
+              "      \"ipc\": null\n"
+              "    },\n"
+              "    {\n"
+              "      \"id\": 1,\n"
+              "      \"ok\": false,\n"
+              "      \"ipc\": null\n"
+              "    }\n"
+              "  ],\n"
+              "  \"none\": {}\n"
+              "}");
+}
+
+TEST(JsonWriter, EscapesKeysAndStrings)
+{
+    Writer w;
+    w.beginObject();
+    w.key("a\"b\\c\n").value(std::string("tab\there\x01"));
+    w.endObject();
+    EXPECT_EQ(w.str(), "{\"a\\\"b\\\\c\\n\":\"tab\\there\\u0001\"}");
+    const Value v = json::parse(w.str());
+    EXPECT_EQ(v.members()[0].first, "a\"b\\c\n");
+    EXPECT_EQ(v.members()[0].second.asString(), "tab\there\x01");
+}
+
+TEST(JsonWriter, IntegersPrintVerbatim)
+{
+    Writer w;
+    w.beginArray();
+    w.value(std::numeric_limits<std::uint64_t>::max());
+    w.value(std::int64_t(-42));
+    w.value(std::numeric_limits<std::int64_t>::min());
+    w.value(0);
+    w.endArray();
+    EXPECT_EQ(w.str(), "[18446744073709551615,-42,"
+                       "-9223372036854775808,0]");
+}
+
+TEST(JsonWriter, DoublesPrintInShortestRoundTripForm)
+{
+    Writer w;
+    w.beginArray();
+    w.value(0.1);
+    w.value(2.0);
+    w.value(4.482758620689655);
+    w.value(-1.5e-7);
+    w.value(1e21);
+    w.endArray();
+    EXPECT_EQ(w.str(), "[0.1,2,4.482758620689655,-1.5e-07,1e+21]");
+    const Value v = json::parse(w.str());
+    EXPECT_EQ(v.at(2).asNumber(), 4.482758620689655);
+    EXPECT_EQ(v.at(3).asNumber(), -1.5e-7);
+}
+
+TEST(JsonWriter, SerializeBytesAreStable)
+{
+    // serialize() walks the Writer but keeps its own rule: an
+    // integral double in the 64-bit range prints as an integer, where
+    // to_chars alone would write 1e+19.
+    const std::string doc =
+        "{\"s\":\"q\\\"\\u0001\",\"a\":[1,-2,0.5,1e+300,[],{}],"
+        "\"big\":10000000000000000000,\"t\":true,\"n\":null,"
+        "\"o\":{\"k\":[{\"x\":3.25}]}}";
+    EXPECT_EQ(json::serialize(json::parse(doc)), doc);
 }
 
 } // namespace

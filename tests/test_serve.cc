@@ -186,6 +186,45 @@ TEST(PointRecord, RejectsVersionSkewAndCorruption)
                  FatalError);
 }
 
+/** @p v with one object member removed, once for every member at
+ *  any depth. */
+std::vector<json::Value>
+withOneMemberRemoved(const json::Value &v)
+{
+    std::vector<json::Value> out;
+    if (!v.isObject())
+        return out;
+    const auto &members = v.members();
+    for (std::size_t i = 0; i < members.size(); ++i) {
+        auto fewer = members;
+        fewer.erase(fewer.begin() + std::ptrdiff_t(i));
+        out.push_back(json::Value::makeObject(std::move(fewer)));
+        for (json::Value &inner : withOneMemberRemoved(members[i].second)) {
+            auto edited = members;
+            edited[i].second = std::move(inner);
+            out.push_back(json::Value::makeObject(std::move(edited)));
+        }
+    }
+    return out;
+}
+
+TEST(PointRecord, RejectsARecordMissingAnyMember)
+{
+    // The encoder and decoder walk the same member tables, so a
+    // record that lacks any one member the encoder wrote cannot
+    // decode.
+    const Workload w = buildWorkload("compress", 1);
+    const json::Value record =
+        json::parse(pointRecordJson(simulate(smallKey(w).config, w)));
+    ASSERT_NO_THROW(parsePointRecord(record));
+    const std::vector<json::Value> edited = withOneMemberRemoved(record);
+    // 11 top-level, 8 sampled, 23 proc and 7 dcache members.
+    EXPECT_EQ(edited.size(), 49u);
+    for (const json::Value &doc : edited)
+        EXPECT_THROW(parsePointRecord(doc), FatalError)
+            << json::serialize(doc);
+}
+
 TEST(JsonSerialize, RoundTripsCompactDocuments)
 {
     const std::string doc =
@@ -655,6 +694,39 @@ TEST(Protocol, EndToEndOverLoopback)
         EXPECT_EQ(reply.at("in_flight").asU64(), 0u);
     }
 
+    server.requestStop();
+    serving.join();
+}
+
+TEST(Protocol, EmptyIdIsEchoedVerbatim)
+{
+    TmpDir dir("emptyid");
+    ServerOptions opts;
+    opts.port = 0;
+    opts.cacheDir = dir.str();
+    opts.jobs = 1;
+    Server server(std::move(opts));
+    const int port = server.start();
+    std::thread serving([&server] { server.serve(); });
+    {
+        ServeClient client("127.0.0.1:" + std::to_string(port));
+        // EXPECT, not ASSERT: an early return would skip the server
+        // shutdown below.
+        client.sendLine("{\"verb\":\"ping\",\"id\":\"\"}");
+        EXPECT_EQ(client.readLine().value_or(""),
+                  "{\"reply\":\"pong\",\"id\":\"\","
+                  "\"server\":\"drsim_serve\"}");
+
+        client.sendLine("{\"verb\":\"frobnicate\",\"id\":\"\"}");
+        EXPECT_EQ(client.readLine().value_or(""),
+                  "{\"reply\":\"error\",\"id\":\"\","
+                  "\"code\":\"unknown-verb\","
+                  "\"message\":\"unknown verb 'frobnicate'\"}");
+
+        // No id in the request: none in the reply.
+        client.sendLine("{\"verb\":\"ping\"}");
+        EXPECT_EQ(client.readReply().find("id"), nullptr);
+    }
     server.requestStop();
     serving.join();
 }

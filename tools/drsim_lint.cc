@@ -108,6 +108,19 @@ resolveTargets(const std::string &selector, int scale,
     return targets;
 }
 
+/** The --json envelope, open for its "fatal" and "reports" members. */
+json::Writer
+openEnvelope(std::size_t errors, std::size_t warnings, int exit_code)
+{
+    json::Writer w;
+    w.beginObject();
+    w.key("schema").value("drsim-lint-v1");
+    w.key("errors").value(errors);
+    w.key("warnings").value(warnings);
+    w.key("exit").value(exit_code);
+    return w;
+}
+
 } // namespace
 
 int
@@ -187,47 +200,43 @@ main(int argc, char **argv)
             analysis::MachineLimits::forIssueWidth(int(width));
 
         std::size_t errors = 0, warnings = 0;
-        std::string json_reports, json_bounds;
+        std::vector<analysis::Report> reports;
+        std::vector<analysis::BoundsReport> bound_reports;
         for (const Target &t : targets) {
-            const analysis::Report report =
-                analysis::analyzeProgram(t.program, opts);
+            const analysis::Report &report = reports.emplace_back(
+                analysis::analyzeProgram(t.program, opts));
             errors += report.count(analysis::Severity::Error);
             warnings += report.count(analysis::Severity::Warning);
-            if (json) {
-                if (!json_reports.empty())
-                    json_reports += ",";
-                json_reports += analysis::reportToJson(report);
-            } else {
-                for (const analysis::Finding &f : report.findings) {
-                    std::printf("%s: %s\n", t.name.c_str(),
-                                analysis::formatFinding(f).c_str());
-                }
+            if (bounds)
+                bound_reports.push_back(
+                    analysis::computeBounds(t.program, limits));
+            if (json)
+                continue;
+            for (const analysis::Finding &f : report.findings) {
                 std::printf("%s: %s\n", t.name.c_str(),
-                            report.summary().c_str());
+                            analysis::formatFinding(f).c_str());
             }
-            if (bounds) {
-                const analysis::BoundsReport br =
-                    analysis::computeBounds(t.program, limits);
-                if (json) {
-                    if (!json_bounds.empty())
-                        json_bounds += ",";
-                    json_bounds += analysis::boundsToJson(br);
-                } else {
-                    std::printf("%s",
-                                analysis::formatBounds(br).c_str());
-                }
-            }
+            std::printf("%s: %s\n", t.name.c_str(),
+                        report.summary().c_str());
+            if (bounds)
+                std::printf("%s", analysis::formatBounds(
+                                      bound_reports.back()).c_str());
         }
         const int exit_code =
             errors > 0 || (strict && warnings > 0) ? 1 : 0;
         if (json) {
-            std::printf("{\"schema\":\"drsim-lint-v1\",\"errors\":%zu,"
-                        "\"warnings\":%zu,\"exit\":%d,\"reports\":[%s]",
-                        errors, warnings, exit_code,
-                        json_reports.c_str());
-            if (bounds)
-                std::printf(",\"bounds\":[%s]", json_bounds.c_str());
-            std::printf("}\n");
+            json::Writer w = openEnvelope(errors, warnings, exit_code);
+            w.key("reports").beginArray();
+            for (const analysis::Report &r : reports)
+                analysis::writeReport(w, r);
+            w.endArray();
+            if (bounds) {
+                w.key("bounds").beginArray();
+                for (const analysis::BoundsReport &br : bound_reports)
+                    analysis::writeBounds(w, br);
+                w.endArray();
+            }
+            std::printf("%s\n", w.endObject().str().c_str());
         }
         return exit_code;
     } catch (const FatalError &e) {
@@ -235,10 +244,10 @@ main(int argc, char **argv)
         // parseable envelope", even when target resolution or an
         // analysis gate throws before any report was serialized.
         if (json) {
-            std::printf("{\"schema\":\"drsim-lint-v1\",\"errors\":1,"
-                        "\"warnings\":0,\"exit\":2,\"fatal\":\"%s\","
-                        "\"reports\":[]}\n",
-                        json::escape(e.what()).c_str());
+            json::Writer w = openEnvelope(1, 0, 2);
+            w.key("fatal").value(e.what());
+            w.key("reports").beginArray().endArray();
+            std::printf("%s\n", w.endObject().str().c_str());
         }
         std::fprintf(stderr, "drsim_lint: %s\n", e.what());
         return 2;
