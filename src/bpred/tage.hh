@@ -17,8 +17,8 @@
  * reproducibility contract:
  *  - allocation on a mispredict claims the single lowest u == 0 entry
  *    above the provider (no randomized bank choice), decrementing the
- *    candidates' u counters when none is free — deterministic, so the
- *    scan and event schedulers stay bit-identical;
+ *    candidates' u counters when none is free — deterministic, so
+ *    every run of a configuration is bit-identical;
  *  - the global history register is a plain 64-bit shift register
  *    (ample for the 40-bit longest table), which is exactly the
  *    opaque history() token the processor checkpoints per branch —

@@ -38,9 +38,8 @@ class Histogram
     }
 
     /** Record @p n observations of @p value at once — equivalent to
-     *  calling addSample(value) @p n times.  The stall skip-ahead path
-     *  uses this to account for a whole run of identical cycles with
-     *  one bucket update. */
+     *  calling addSample(value) @p n times (histogram decoding and the
+     *  static bounds use it to add a whole bucket in one update). */
     void
     addSamples(std::uint64_t value, std::uint64_t n)
     {

@@ -129,23 +129,6 @@ struct CoreConfig
     { return dqSize - intQueueSize() - fpQueueSize(); }
     /// @}
 
-    /// @name Scheduler implementation (performance engineering)
-    /// @{
-    /** Use the original exhaustive per-cycle dispatch-queue scan
-     *  instead of the event-driven wakeup scheduler.  The two produce
-     *  bit-identical statistics (enforced by tests/test_event_core.cc);
-     *  the scan is retained as the reference implementation and as the
-     *  baseline leg of bench/simspeed. */
-    bool scanScheduler = false;
-
-    /** In the event-driven scheduler, jump time straight to the next
-     *  completion event when no instruction is ready and the front end
-     *  provably cannot make progress, bulk-attributing the skipped
-     *  cycles to their stall cause.  Purely an optimization: statistics
-     *  are identical with it off. */
-    bool stallSkipAhead = true;
-    /// @}
-
     /** Stop after this many committed instructions (0 = run to halt).
      *  Under sampling this caps the total architectural instructions
      *  advanced (fast-forwarded + detailed), keeping the run length

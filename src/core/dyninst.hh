@@ -66,7 +66,7 @@ struct DynInst
     /** Unpipelined divider unit occupied (-1 none). */
     int divUnit = -1;
 
-    /** Source operands still pending in the event-driven scheduler;
+    /** Source operands still pending (not yet woken by a producer);
      *  the instruction enters a ready queue when this reaches zero. */
     std::uint8_t waitingOps = 0;
 

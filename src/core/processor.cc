@@ -94,8 +94,7 @@ Processor::Processor(const CoreConfig &config, const Program *external,
       pred_(makeBranchPredictor(config_.predictor)),
       dcache_(config.cacheKind, config.dcache),
       icache_(config.icache),
-      rename_(config.numPhysRegs, config.exceptionModel),
-      eventScheduler_(!config.scanScheduler)
+      rename_(config.numPhysRegs, config.exceptionModel)
 {
     // Completion events land at most hitLatency + missPenalty + 4
     // cycles ahead (a merged load), or the longest fixed operation
@@ -115,35 +114,19 @@ Processor::Processor(const CoreConfig &config, const Program *external,
     storeQueue_.reserve(64);
     storeAddrMap_.reserve(64);
     const auto dq_cap = std::size_t(config_.dqSize);
-    if (eventScheduler_) {
-        for (auto &per_class : waiters_)
-            per_class.resize(std::size_t(config_.numPhysRegs));
-        for (int q = 0; q < 3; ++q) {
-            readyQ_[q].reserve(dq_cap);
-            wake_[q].reserve(dq_cap);
-            keep_[q].reserve(dq_cap);
-        }
-        mergeScratch_.reserve(dq_cap);
-    } else {
-        dq_.reserve(dq_cap);
-        dqFp_.reserve(dq_cap);
-        dqMem_.reserve(dq_cap);
-        for (auto &k : scanKeep_)
-            k.reserve(dq_cap);
+    for (auto &per_class : waiters_)
+        per_class.resize(std::size_t(config_.numPhysRegs));
+    for (int q = 0; q < 3; ++q) {
+        readyQ_[q].reserve(dq_cap);
+        wake_[q].reserve(dq_cap);
+        keep_[q].reserve(dq_cap);
     }
+    mergeScratch_.reserve(dq_cap);
 }
 
 void
 Processor::run()
 {
-    if (eventScheduler_ && config_.stallSkipAhead) {
-        while (!done()) {
-            tick();
-            if (!done())
-                skipStallCycles();
-        }
-        return;
-    }
     while (!done())
         tick();
 }
@@ -151,12 +134,8 @@ Processor::run()
 void
 Processor::runDetailed(std::uint64_t target_committed)
 {
-    const bool skip = eventScheduler_ && config_.stallSkipAhead;
-    while (!done() && stats_.committed < target_committed) {
+    while (!done() && stats_.committed < target_committed)
         tick();
-        if (skip && !done() && stats_.committed < target_committed)
-            skipStallCycles();
-    }
 }
 
 void
@@ -271,134 +250,6 @@ Processor::fastForward(std::uint64_t n)
     lastFetchLineValid_ = false;
     icacheStallUntil_ = 0;
     return emu_.fastForward(n);
-}
-
-void
-Processor::skipStallCycles()
-{
-    // A cycle may be skipped only when a real tick would provably
-    // change nothing: no ready instruction (so the issue stage is a
-    // no-op — every time-dependent retry, like a port-rejected load or
-    // a busy divider, keeps its instruction in a ready queue), no
-    // committable head, no register frees landing at the next cycle
-    // boundary, and a front end blocked for a reason that cannot clear
-    // before the next completion event.  The skipped cycles are then
-    // bulk-attributed to the same CycleCause a real tick would have
-    // recorded, preserving sum(causeCycles) == cycles.
-    if (!readyQ_[0].empty() || !readyQ_[1].empty() ||
-        !readyQ_[2].empty()) {
-        return;
-    }
-    if (!window_.empty() &&
-        window_.front().state == InstState::Completed) {
-        return;
-    }
-    if (rename_.hasPendingFrees())
-        return;
-
-    // Determine why (and whether) the insert stage is blocked next
-    // cycle, mirroring insertStage's check order exactly.
-    CycleCause cause = CycleCause::OperandWait;
-    bool icache_bound = false;
-    if (draining_ || emu_.fetchBlocked()) {
-        cause = CycleCause::FetchBlocked;
-    } else if (now_ + 1 < icacheStallUntil_) {
-        cause = CycleCause::ICacheStall;
-        icache_bound = true;
-    } else {
-        if (!config_.perfectICache) {
-            const Addr line = emu_.pc() / config_.icache.lineBytes;
-            if (!lastFetchLineValid_ || line != lastFetchLine_)
-                return; // next cycle starts an instruction-cache fetch
-        }
-        const Instruction *si = emu_.peek();
-        const int qidx = queueIndexFor(*si);
-        if (dqCount_[qidx] >= queueCapacity(*si)) {
-            cause = qidx == 0   ? CycleCause::DqFullInt
-                    : qidx == 1 ? CycleCause::DqFullFp
-                                : CycleCause::DqFullMem;
-        } else if (si->writesReg() &&
-                   !rename_.canAllocate(si->dest.cls)) {
-            cause = si->dest.cls == RegClass::Int
-                        ? CycleCause::NoFreeRegInt
-                        : CycleCause::NoFreeRegFp;
-        } else {
-            return; // insert would make progress
-        }
-    }
-
-    // Jump to the next cycle anything can change: the next completion
-    // event, or the end of the instruction-cache stall.
-    Cycle target = kInvalidCycle;
-    for (std::size_t i = 1; i < ringSize_; ++i) {
-        if (!ring_[(now_ + i) % ringSize_].empty()) {
-            target = now_ + i;
-            break;
-        }
-    }
-    if (icache_bound)
-        target = std::min(target, icacheStallUntil_);
-    if (target == kInvalidCycle)
-        return; // nothing in flight: let the watchdog see the stall
-    // Never skip the deadlock-watchdog trip point or an audit tick.
-    if (config_.deadlockCycles) {
-        target = std::min(target, lastCommitCycle_ +
-                                      config_.deadlockCycles + 1);
-    }
-    if (config_.auditInterval) {
-        target = std::min(
-            target,
-            (now_ / config_.auditInterval + 1) * config_.auditInterval);
-    }
-    if (target <= now_ + 1)
-        return;
-    applyStallCycles(target - now_ - 1, cause);
-}
-
-void
-Processor::applyStallCycles(Cycle skipped, CycleCause cause)
-{
-    now_ += skipped;
-    stats_.cycles = now_;
-    stats_.causeCycles[int(cause)] += skipped;
-    switch (cause) {
-      case CycleCause::NoFreeRegInt:
-      case CycleCause::NoFreeRegFp:
-        stats_.insertStallNoRegCycles += skipped;
-        break;
-      case CycleCause::DqFullInt:
-      case CycleCause::DqFullFp:
-      case CycleCause::DqFullMem:
-        stats_.insertStallDqFullCycles += skipped;
-        break;
-      case CycleCause::FetchBlocked:
-        stats_.fetchBlockedCycles += skipped;
-        break;
-      default:
-        break;
-    }
-    if (rename_.freeCount(RegClass::Int) == 0 ||
-        rename_.freeCount(RegClass::Fp) == 0) {
-        stats_.noFreeRegCycles += skipped;
-    }
-    if (config_.collectOccupancyHistograms && !statsGated_) {
-        stats_.dqDepth.addSamples(dqOccupancy(), skipped);
-        stats_.windowDepth.addSamples(window_.size(), skipped);
-        stats_.storeQueueDepth.addSamples(storeQueue_.size(), skipped);
-    }
-    if (!config_.collectLiveHistograms || statsGated_)
-        return;
-    for (int c = 0; c < kNumRegClasses; ++c) {
-        const LiveCounts lc = rename_.liveCounts(RegClass(c));
-        const std::uint64_t s1 = lc.inFlight;
-        const std::uint64_t s2 = s1 + lc.inQueue;
-        const std::uint64_t s3 = s2 + lc.waitImprecise;
-        const std::uint64_t s4 = s3 + lc.waitPrecise;
-        stats_.live[c][0].addSamples(s1, skipped);
-        stats_.live[c][1].addSamples(s2, skipped);
-        stats_.live[c][2].addSamples(s3, skipped);
-        stats_.live[c][3].addSamples(s4, skipped);
-    }
 }
 
 void
@@ -590,10 +441,8 @@ Processor::arbitrateResultBuses(std::vector<CompletionEvent> &bucket)
         return;
 
     // Oldest-first grant: losers move to the next cycle's bucket and
-    // their destination's readiness is pushed back with them, so both
-    // schedulers' operand checks (the scan's isReady() and the event
-    // path's wakeDependents(), which only fires on an actual
-    // completion) observe the deferral identically.
+    // their destination's readiness is pushed back with them (their
+    // dependents are woken by the deferred completion itself).
     std::sort(writers.begin(), writers.end());
     const auto granted_end =
         writers.begin() + std::size_t(config_.resultBuses);
@@ -648,8 +497,7 @@ Processor::completeStage()
                 pendingKillers_.push({in.seq, in.uid, in.si->dest.cls,
                                       in.si->dest.index});
             }
-            if (eventScheduler_)
-                wakeDependents(in.si->dest.cls, in.physDest);
+            wakeDependents(in.si->dest.cls, in.physDest);
         }
 
         if (in.isCondBranch()) {
@@ -670,8 +518,7 @@ Processor::wakeDependents(RegClass cls, PhysRegIndex preg)
     // The subscribers were not operand-ready at insert; this producer
     // completing is the only event that can supply this operand, and
     // the value is sourceable from this cycle on (readyCycle was set
-    // to the completion cycle at issue) — so delivering wakeups here
-    // is observationally identical to the per-cycle readiness rescan.
+    // to the completion cycle at issue).
     std::vector<Waiter> &list = waiters_[int(cls)][preg];
     for (const Waiter &w : list) {
         if (!validInst(w.seq, w.uid))
@@ -696,8 +543,7 @@ Processor::scheduleCompletion(DynInst &in, Cycle when)
 void
 Processor::finishIssue(DynInst &in, Cycle complete_at)
 {
-    if (eventScheduler_)
-        --dqCount_[queueIndexFor(*in.si)];
+    --dqCount_[queueIndexFor(*in.si)];
     in.state = InstState::Issued;
     in.issueCycle = now_;
     ++stats_.executed;
@@ -771,12 +617,8 @@ Processor::issueLoad(DynInst &in)
 bool
 Processor::tryIssue(DynInst &in, IssueBudget &budget)
 {
-    // Operand readiness.
-    if (!rename_.isReady(in.si->src1.cls, in.physSrc1, now_) ||
-        !rename_.isReady(in.si->src2.cls, in.physSrc2, now_)) {
-        return false;
-    }
-
+    // Only ready-queue residents get here: every operand has been
+    // delivered (at insert, or by its producer's completion).
     const OpClass cls = in.si->cls();
     switch (cls) {
       case OpClass::IntAlu:
@@ -870,23 +712,6 @@ Processor::tryIssue(DynInst &in, IssueBudget &budget)
     return true;
 }
 
-RingDeque<InstSeqNum> &
-Processor::queueFor(const Instruction &si)
-{
-    if (!config_.splitDispatchQueues)
-        return dq_;
-    switch (si.cls()) {
-      case OpClass::MemLoad:
-      case OpClass::MemStore:
-        return dqMem_;
-      case OpClass::FpAdd:
-      case OpClass::FpDiv:
-        return dqFp_;
-      default:
-        return dq_; // integer and control
-    }
-}
-
 int
 Processor::queueIndexFor(const Instruction &si) const
 {
@@ -924,70 +749,6 @@ Processor::queueCapacity(const Instruction &si) const
 void
 Processor::issueStage()
 {
-    if (eventScheduler_)
-        issueStageEvent();
-    else
-        issueStageScan();
-}
-
-void
-Processor::issueStageScan()
-{
-    IssueBudget budget{config_.issueWidth, config_.intIssueLimit(),
-                       config_.fpIssueLimit(), config_.fpDivIssueLimit(),
-                       config_.memIssueLimit(), config_.ctrlIssueLimit()};
-
-    DynInst *recovery_branch = nullptr;
-
-    // Greedy oldest-first selection.  With split queues this is a
-    // seq-ordered merge across the three queues, so the policy stays
-    // "earliest in program order first" machine-wide.
-    RingDeque<InstSeqNum> *queues[3] = {&dq_, &dqFp_, &dqMem_};
-    RingDeque<InstSeqNum> *keep[3] = {&scanKeep_[0], &scanKeep_[1],
-                                      &scanKeep_[2]};
-    for (auto *k : keep)
-        k->clear();
-    std::size_t pos[3] = {0, 0, 0};
-    while (budget.total > 0) {
-        int best = -1;
-        for (int q = 0; q < 3; ++q) {
-            if (pos[q] < queues[q]->size() &&
-                (best < 0 ||
-                 (*queues[q])[pos[q]] < (*queues[best])[pos[best]])) {
-                best = q;
-            }
-        }
-        if (best < 0)
-            break;
-        const InstSeqNum seq = (*queues[best])[pos[best]];
-        ++pos[best];
-        DynInst &in = inst(seq);
-        if (!tryIssue(in, budget)) {
-            keep[best]->push_back(seq);
-            continue;
-        }
-        if (in.isCondBranch() && in.mispredicted &&
-            recovery_branch == nullptr) {
-            recovery_branch = &in; // oldest mispredict this cycle
-        }
-    }
-    for (int q = 0; q < 3; ++q) {
-        // Entries never reached because the total budget ran out mean
-        // the cycle was width-limited, not dependence-limited.
-        if (budget.total == 0 && pos[q] < queues[q]->size())
-            obs_.issueWidthBound = true;
-        for (; pos[q] < queues[q]->size(); ++pos[q])
-            keep[q]->push_back((*queues[q])[pos[q]]);
-        queues[q]->swap(*keep[q]);
-    }
-
-    if (recovery_branch != nullptr)
-        recover(*recovery_branch);
-}
-
-void
-Processor::issueStageEvent()
-{
     // Fold this cycle's wakeups into the seq-sorted ready queues.
     // Completions walk the ring bucket in schedule order, so the wake
     // buffers need an explicit sort; entries are unique (an
@@ -1016,12 +777,12 @@ Processor::issueStageEvent()
     DynInst *recovery_branch = nullptr;
     InstSeqNum last_issued = 0;
 
-    // The same greedy seq-ordered merge as the scan path, but only
-    // over operand-ready instructions.  tryIssue's readiness check is
-    // side-effect-free and is what the scan spends most of its time
-    // failing, so restricting the walk to ready entries (which can
-    // still be kept back by budgets, dividers, ports or unresolved
-    // stores — all retried next cycle) is observationally identical.
+    // Greedy oldest-first selection over the operand-ready residents.
+    // With split queues this is a seq-ordered merge across the three
+    // ready queues, so the policy stays "earliest in program order
+    // first" machine-wide.  A ready entry can still be kept back by
+    // budgets, dividers, ports or unresolved stores; it is retried
+    // next cycle.
     std::vector<InstSeqNum> *queues[3] = {&readyQ_[0], &readyQ_[1],
                                           &readyQ_[2]};
     for (auto &k : keep_)
@@ -1053,12 +814,12 @@ Processor::issueStageEvent()
     }
 
     if (budget.total == 0) {
-        // The scan flags a width-bound cycle when the budget ran out
-        // with queue entries never examined — i.e. some resident is
-        // younger than the last instruction issued.  Walk the window
-        // youngest-first; every InQueue instruction there (ready or
-        // operand-waiting) is such a resident, and the walk stops at
-        // the last-issued seq, so it only visits younger entries.
+        // The cycle is width-bound when the budget ran out with a
+        // dispatch-queue resident younger than the last instruction
+        // issued.  Walk the window youngest-first; every InQueue
+        // instruction there (ready or operand-waiting) is such a
+        // resident, and the walk stops at the last-issued seq, so it
+        // only visits younger entries.
         for (std::size_t i = window_.size(); i-- > 0;) {
             const DynInst &in = window_[i];
             if (in.seq <= last_issued)
@@ -1148,7 +909,7 @@ Processor::squashYoungest()
         in.hasEmuCp = false;
     }
 
-    if (eventScheduler_ && in.state == InstState::InQueue)
+    if (in.state == InstState::InQueue)
         --dqCount_[queueIndexFor(*in.si)];
 
     // Readers that never completed still hold user claims.
@@ -1201,19 +962,12 @@ Processor::recover(DynInst &branch)
     while (!window_.empty() && window_.back().seq > bseq)
         squashYoungest();
 
-    if (eventScheduler_) {
-        for (std::vector<InstSeqNum> &rq : readyQ_) {
-            while (!rq.empty() && rq.back() > bseq)
-                rq.pop_back();
-        }
-        // wake_ is empty here: it is drained at the top of the issue
-        // stage and refilled only in the complete stage.
-    } else {
-        for (RingDeque<InstSeqNum> *q : {&dq_, &dqFp_, &dqMem_}) {
-            while (!q->empty() && q->back() > bseq)
-                q->pop_back();
-        }
+    for (std::vector<InstSeqNum> &rq : readyQ_) {
+        while (!rq.empty() && rq.back() > bseq)
+            rq.pop_back();
     }
+    // wake_ is empty here: it is drained at the top of the issue stage
+    // and refilled only in the complete stage.
     for (RingDeque<InstSeqNum> *bq :
          {&unissuedBranchQ_, &uncompletedBranchQ_}) {
         while (!bq->empty() && bq->back() > bseq)
@@ -1272,10 +1026,7 @@ Processor::insertStage()
         // Insert stalls when the instruction's *target* queue is full
         // (for the unified queue this is the single dqSize bound).
         const int qidx = queueIndexFor(*si);
-        const int occupancy = eventScheduler_
-                                  ? dqCount_[qidx]
-                                  : int(queueFor(*si).size());
-        if (occupancy >= queueCapacity(*si)) {
+        if (dqCount_[qidx] >= queueCapacity(*si)) {
             obs_.dqFull[qidx] = true;
             break;
         }
@@ -1330,29 +1081,25 @@ Processor::insertStage()
             storeAddrMap_[in.effAddr].push_back(in.seq);
         }
 
-        if (eventScheduler_) {
-            // Subscribe to in-flight producers; an operand whose
-            // readyCycle is still in the future is delivered by that
-            // producer's completion event (wakeDependents).  With no
-            // pending operands the instruction is ready immediately.
-            std::uint8_t waiting = 0;
-            if (!rename_.isReady(si->src1.cls, in.physSrc1, now_)) {
-                waiters_[int(si->src1.cls)][in.physSrc1].push_back(
-                    {in.seq, in.uid});
-                ++waiting;
-            }
-            if (!rename_.isReady(si->src2.cls, in.physSrc2, now_)) {
-                waiters_[int(si->src2.cls)][in.physSrc2].push_back(
-                    {in.seq, in.uid});
-                ++waiting;
-            }
-            in.waitingOps = waiting;
-            ++dqCount_[qidx];
-            if (waiting == 0)
-                readyQ_[qidx].push_back(in.seq);
-        } else {
-            queueFor(*si).push_back(in.seq);
+        // Subscribe to in-flight producers; an operand whose
+        // readyCycle is still in the future is delivered by that
+        // producer's completion event (wakeDependents).  With no
+        // pending operands the instruction is ready immediately.
+        std::uint8_t waiting = 0;
+        if (!rename_.isReady(si->src1.cls, in.physSrc1, now_)) {
+            waiters_[int(si->src1.cls)][in.physSrc1].push_back(
+                {in.seq, in.uid});
+            ++waiting;
         }
+        if (!rename_.isReady(si->src2.cls, in.physSrc2, now_)) {
+            waiters_[int(si->src2.cls)][in.physSrc2].push_back(
+                {in.seq, in.uid});
+            ++waiting;
+        }
+        in.waitingOps = waiting;
+        ++dqCount_[qidx];
+        if (waiting == 0)
+            readyQ_[qidx].push_back(in.seq);
         --budget;
     }
 

@@ -241,7 +241,7 @@ class Processor
     /**
      * Run detailed until @p target_committed instructions have
      * committed (cumulative, against stats().committed) or the run
-     * ends.  Uses the same stall skip-ahead fast path as run().
+     * ends.
      */
     void runDetailed(std::uint64_t target_committed);
 
@@ -310,11 +310,8 @@ class Processor
     std::size_t
     dqOccupancy() const
     {
-        if (eventScheduler_) {
-            return std::size_t(dqCount_[0]) + std::size_t(dqCount_[1]) +
-                   std::size_t(dqCount_[2]);
-        }
-        return dq_.size() + dqFp_.size() + dqMem_.size();
+        return std::size_t(dqCount_[0]) + std::size_t(dqCount_[1]) +
+               std::size_t(dqCount_[2]);
     }
 
     /** Overall load miss rate in the paper's sense: primary misses
@@ -413,11 +410,8 @@ class Processor
     /** Finite-bus CDB arbitration: defer this cycle's excess
      *  register-writing completions, oldest granted first. */
     void arbitrateResultBuses(std::vector<CompletionEvent> &bucket);
+    /** Merge this cycle's wakeups, then walk the ready queues. */
     void issueStage();
-    /** Reference scheduler: rescan every dispatch-queue entry. */
-    void issueStageScan();
-    /** Event-driven scheduler: merge wakeups, walk ready queues. */
-    void issueStageEvent();
     void insertStage();
     void sampleStats();
     /// @}
@@ -427,11 +421,6 @@ class Processor
     /** Producer of (@p cls, @p preg) completed: deliver the pending
      *  operand to every subscribed dispatch-queue resident. */
     void wakeDependents(RegClass cls, PhysRegIndex preg);
-    /** From run(): if no state can change before the next completion
-     *  event, jump time forward and bulk-attribute the stall cycles. */
-    void skipStallCycles();
-    /** Account @p skipped identical stall cycles of cause @p cause. */
-    void applyStallCycles(Cycle skipped, CycleCause cause);
     /// @}
 
     /// @name Branch-order tracking (lazily trimmed monotone queues)
@@ -448,8 +437,6 @@ class Processor
     bool tryIssue(DynInst &in, struct IssueBudget &budget);
     /** Reduce this cycle's observations to one CycleCause bucket. */
     void classifyCycle();
-    /** The queue an instruction dispatches into, and its capacity. */
-    RingDeque<InstSeqNum> &queueFor(const Instruction &si);
     /** CycleObs::dqFull index of the queue @p si dispatches into
      *  (0 for the unified queue). */
     int queueIndexFor(const Instruction &si) const;
@@ -478,10 +465,6 @@ class Processor
     RenameUnit rename_;
     ProcStats stats_;
 
-    /** False when CoreConfig::scanScheduler selects the reference
-     *  rescan path; fixed for the processor's life. */
-    const bool eventScheduler_;
-
     Cycle now_ = 0;
     InstUid nextUid_ = 1;
     InstSeqNum nextSeq_ = 1;
@@ -490,21 +473,12 @@ class Processor
      *  of std::deque so the per-cycle push/pop churn never allocates
      *  and inst() lookups stay in one array. */
     RingDeque<DynInst> window_;
-    /** Unified dispatch queue — or the integer+control queue when
-     *  splitDispatchQueues is set.  Maintained by the scan scheduler
-     *  only; the event scheduler tracks occupancy in dqCount_ and
-     *  readiness in readyQ_. */
-    RingDeque<InstSeqNum> dq_;
-    /** Split-mode floating-point and memory queues (otherwise empty). */
-    RingDeque<InstSeqNum> dqFp_;
-    RingDeque<InstSeqNum> dqMem_;
-    /** Scan-mode per-queue keep buffers (cleared each cycle). */
-    RingDeque<InstSeqNum> scanKeep_[3];
 
-    /// @name Event-driven scheduler state
+    /// @name Dispatch queues (event-driven wakeup)
     /// @{
-    /** Dispatch-queue residents per queue (insert +1, issue/squash -1;
-     *  mirrors the scan queues' sizes exactly). */
+    /** Dispatch-queue residents per queue (insert +1, issue/squash -1):
+     *  the unified queue — or, when splitDispatchQueues is set, the
+     *  integer+control, floating-point and memory queues. */
     int dqCount_[3] = {0, 0, 0};
     /** Seq-sorted operand-ready residents per queue: the only
      *  instructions the issue stage examines. */

@@ -74,16 +74,6 @@ RenameUnit::RenameUnit(int num_phys_regs, ExceptionModel model)
     }
 }
 
-bool
-RenameUnit::hasPendingFrees() const
-{
-    for (const auto &f : files_) {
-        if (!f.freedThisCycle.empty())
-            return true;
-    }
-    return false;
-}
-
 void
 RenameUnit::beginCycle(Cycle now)
 {

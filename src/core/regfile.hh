@@ -98,12 +98,6 @@ class RenameUnit
     /** Make registers freed last cycle allocatable and advance the
      *  unit's notion of time (call at cycle start). */
     void beginCycle(Cycle now = 0);
-
-    /** True while either file has registers freed this cycle that the
-     *  next beginCycle() will return to the free list.  The stall
-     *  skip-ahead must not jump over such a cycle boundary: the free
-     *  lists (and hence insert eligibility) change at it. */
-    bool hasPendingFrees() const;
     /// @}
 
     /// @name Rename (dispatch-queue insert)

@@ -785,13 +785,7 @@ extBoundsGrids()
 {
     GridDef grid;
     grid.base = paperConfig(4, 2048);
-    grid.axes = {
-        variantAxis(
-            "sched",
-            {{"event", [](CoreConfig &) {}},
-             {"scan",
-              [](CoreConfig &c) { c.scanScheduler = true; }}}),
-        regsAxis(paperRegs())};
+    grid.axes = {regsAxis(paperRegs())};
     return {grid};
 }
 
@@ -811,43 +805,35 @@ extBoundsPrint(const RunContext &ctx,
 
     const std::vector<int> sweep = paperRegs();
     const std::size_t nregs = sweep.size();
-    const char *sched_names[2] = {"event", "scan"};
     int gate_misses = 0;
 
-    for (int v = 0; v < 2; ++v) {
-        std::printf("\n--- 4-way, DQ=32, %s scheduler ---\n",
-                    sched_names[v]);
-        std::printf("%-10s | %6s %6s | %4s %4s | %6s | %8s %5s | "
-                    "%4s\n",
-                    "bench", "bound", "steady", "mlI", "mlF",
-                    "minRegs", "IPC@256", "knee", "ok");
-        for (std::size_t b = 0; b < suite.size(); ++b) {
-            const analysis::BoundsReport &br = bounds[b];
-            const auto ipc_at = [&](std::size_t r) {
-                return results[std::size_t(v) * nregs + r]
-                    .suite.runs()[b]
-                    .commitIpc();
-            };
-            const double ipc_max = ipc_at(nregs - 1);
-            int knee = sweep.back();
-            for (std::size_t r = 0; r < nregs; ++r) {
-                if (ipc_at(r) >= 0.98 * ipc_max) {
-                    knee = sweep[r];
-                    break;
-                }
+    std::printf("\n--- 4-way, DQ=32 ---\n");
+    std::printf("%-10s | %6s %6s | %4s %4s | %6s | %8s %5s | %4s\n",
+                "bench", "bound", "steady", "mlI", "mlF", "minRegs",
+                "IPC@256", "knee", "ok");
+    for (std::size_t b = 0; b < suite.size(); ++b) {
+        const analysis::BoundsReport &br = bounds[b];
+        const auto ipc_at = [&](std::size_t r) {
+            return results[r].suite.runs()[b].commitIpc();
+        };
+        const double ipc_max = ipc_at(nregs - 1);
+        int knee = sweep.back();
+        for (std::size_t r = 0; r < nregs; ++r) {
+            if (ipc_at(r) >= 0.98 * ipc_max) {
+                knee = sweep[r];
+                break;
             }
-            const bool ok = ipc_max <= br.ipcBound * 1.05 + 0.05;
-            if (!ok)
-                ++gate_misses;
-            std::printf("%-10s | %6.2f %6.2f | %4d %4d | %6d | "
-                        "%8.2f %5d | %4s\n",
-                        br.program.c_str(), br.ipcBound,
-                        br.steadyIpcBound, br.maxLive[0],
-                        br.maxLive[1],
-                        std::max(br.minRegsEstimate[0],
-                                 br.minRegsEstimate[1]),
-                        ipc_max, knee, ok ? "yes" : "NO");
         }
+        const bool ok = ipc_max <= br.ipcBound * 1.05 + 0.05;
+        if (!ok)
+            ++gate_misses;
+        std::printf("%-10s | %6.2f %6.2f | %4d %4d | %6d | %8.2f %5d | "
+                    "%4s\n",
+                    br.program.c_str(), br.ipcBound, br.steadyIpcBound,
+                    br.maxLive[0], br.maxLive[1],
+                    std::max(br.minRegsEstimate[0],
+                             br.minRegsEstimate[1]),
+                    ipc_max, knee, ok ? "yes" : "NO");
     }
     if (gate_misses > 0) {
         std::printf("\nWARNING: %d kernel(s) exceeded their static "
@@ -859,8 +845,7 @@ extBoundsPrint(const RunContext &ctx,
                 "= static MaxLive per class; minRegs = Little's-law\n"
                 "register estimate; knee = smallest size within 2%% "
                 "of the 256-register IPC.\nexpected: every simulated "
-                "IPC respects its bound in both schedulers, and "
-                "the\nregister knee lands near the paper's \"~80-96 "
+                "IPC respects its bound, and the\nregister knee lands near the paper's \"~80-96 "
                 "registers suffice\" conclusion —\nthe static "
                 "estimate brackets it from below.\n");
 }
@@ -875,11 +860,6 @@ extPredictorsGrids()
     grid.axes = {
         predictorAxis(predictorSpecs()),
         resultBusAxis({0, 2}),
-        variantAxis(
-            "sched",
-            {{"event", [](CoreConfig &) {}},
-             {"scan",
-              [](CoreConfig &c) { c.scanScheduler = true; }}}),
         regsAxis(paperRegs())};
     return {grid};
 }
@@ -892,23 +872,19 @@ extPredictorsPrint(const RunContext &,
     const std::size_t nregs = sweep.size();
     const std::vector<std::string> &preds = predictorSpecs();
     constexpr int kBuses[2] = {0, 2};
-    const char *sched_names[2] = {"event", "scan"};
 
-    // Row-major over (predictor, buses, sched, regs) as declared.
-    const auto index = [&](std::size_t p, int b, int v,
-                           std::size_t r) {
-        return ((p * 2 + std::size_t(b)) * 2 + std::size_t(v)) *
-                   nregs +
-               r;
+    // Row-major over (predictor, buses, regs) as declared.
+    const auto index = [&](std::size_t p, int b, std::size_t r) {
+        return (p * 2 + std::size_t(b)) * nregs + r;
     };
     // Smallest file within 2% of the 256-register IPC — the same
     // knee definition ext_bounds uses, so the register-pressure
     // conclusions line up across experiments.
-    const auto knee_of = [&](std::size_t p, int b, int v) {
+    const auto knee_of = [&](std::size_t p, int b) {
         const double ipc_max =
-            results[index(p, b, v, nregs - 1)].suite.avgCommitIpc();
+            results[index(p, b, nregs - 1)].suite.avgCommitIpc();
         for (std::size_t r = 0; r < nregs; ++r) {
-            if (results[index(p, b, v, r)].suite.avgCommitIpc() >=
+            if (results[index(p, b, r)].suite.avgCommitIpc() >=
                 0.98 * ipc_max) {
                 return sweep[r];
             }
@@ -916,60 +892,43 @@ extPredictorsPrint(const RunContext &,
         return sweep.back();
     };
 
-    int disagreements = 0;
     std::printf("\n4-way, DQ=32, lockup-free; registers swept "
                 "%d..%d\n",
                 sweep.front(), sweep.back());
-    std::printf("%-10s %6s %6s | %8s %9s %11s %5s\n", "predictor",
-                "buses", "sched", "IPC@256", "mispred%",
-                "result_bus%", "knee");
+    std::printf("%-10s %6s | %8s %9s %11s %5s\n", "predictor", "buses",
+                "IPC@256", "mispred%", "result_bus%", "knee");
     for (std::size_t p = 0; p < preds.size(); ++p) {
         for (int b = 0; b < 2; ++b) {
-            for (int v = 0; v < 2; ++v) {
-                const ExperimentResult &top =
-                    results[index(p, b, v, nregs - 1)];
-                double mispred = 0.0;
-                for (const auto &r : top.suite.runs())
-                    mispred += r.mispredictRate();
-                mispred /= double(top.suite.runs().size());
-                std::printf(
-                    "%-10s %6s %6s | %8.2f %8.1f%% %10.2f%% %5d\n",
-                    preds[p].c_str(),
-                    kBuses[b] == 0
-                        ? "inf"
-                        : std::to_string(kBuses[b]).c_str(),
-                    sched_names[v], top.suite.avgCommitIpc(),
-                    100.0 * mispred,
-                    top.suite.avgCausePct(CycleCause::ResultBus),
-                    knee_of(p, b, v));
-                if (v == 1 &&
-                    knee_of(p, b, 0) != knee_of(p, b, 1)) {
-                    ++disagreements;
-                }
-            }
+            const ExperimentResult &top = results[index(p, b, nregs - 1)];
+            double mispred = 0.0;
+            for (const auto &r : top.suite.runs())
+                mispred += r.mispredictRate();
+            mispred /= double(top.suite.runs().size());
+            std::printf("%-10s %6s | %8.2f %8.1f%% %10.2f%% %5d\n",
+                        preds[p].c_str(),
+                        kBuses[b] == 0
+                            ? "inf"
+                            : std::to_string(kBuses[b]).c_str(),
+                        top.suite.avgCommitIpc(), 100.0 * mispred,
+                        top.suite.avgCausePct(CycleCause::ResultBus),
+                        knee_of(p, b));
         }
     }
 
     std::printf("\nregister-pressure knee vs %s/unlimited buses "
                 "(%d regs):\n",
-                preds[0].c_str(), knee_of(0, 0, 0));
-    const int knee0 = knee_of(0, 0, 0);
+                preds[0].c_str(), knee_of(0, 0));
+    const int knee0 = knee_of(0, 0);
     for (std::size_t p = 0; p < preds.size(); ++p) {
         for (int b = 0; b < 2; ++b) {
-            const int knee = knee_of(p, b, 0);
+            const int knee = knee_of(p, b);
             std::printf("  %-10s %9s: %3d regs (%+d)\n",
                         preds[p].c_str(),
                         kBuses[b] == 0 ? "unlimited" : "2 buses",
                         knee, knee - knee0);
         }
     }
-    if (disagreements > 0) {
-        std::printf("\nWARNING: event and scan schedulers disagreed "
-                    "on %d knee(s) — scheduler bug.\n",
-                    disagreements);
-    }
-    std::printf("\nexpected: both schedulers agree on every point; "
-                "predictor choice moves mispredict%%\nand IPC but "
+    std::printf("\nexpected: predictor choice moves mispredict%%\nand IPC but "
                 "barely moves the knee — register pressure is set by "
                 "in-flight lifetimes,\nnot prediction accuracy — "
                 "while a 2-bus writeback constraint adds result_bus "
@@ -1104,14 +1063,13 @@ makeExperimentDefs()
         {"ext_bounds",
          "Extension: static dataflow bounds vs simulated IPC and "
          "register knee",
-         "static IPC/MaxLive oracle cross-checked against simulation "
-         "in both schedulers",
+         "static IPC/MaxLive oracle cross-checked against simulation",
          extBoundsGrids, nullptr, extBoundsPrint, true, nullptr},
         {"ext_predictors",
          "Extension: predictor backends and result-bus contention vs "
          "register pressure",
          "predictor/result-bus sweep on the fig6/fig7 register "
-         "apparatus, both schedulers",
+         "apparatus",
          extPredictorsGrids, nullptr, extPredictorsPrint, true,
          nullptr},
         {"ext_critical_paths", nullptr,
@@ -1119,8 +1077,8 @@ makeExperimentDefs()
          "check",
          nullptr, nullptr, nullptr, false, runCriticalPaths},
         {"simspeed", nullptr,
-         "tracked simulator-speed benchmark (scan vs event "
-         "scheduler)",
+         "tracked simulator-speed benchmark (full detail vs "
+         "sampled)",
          nullptr, nullptr, nullptr, false, runSimspeed},
         {"sampling_validate", nullptr,
          "sampled-mode accuracy check: 95% CI vs full-detail IPC "

@@ -18,7 +18,7 @@ RunContext
 RunContext::fromEnv()
 {
     RunContext ctx;
-    ctx.scale = envInt("DRSIM_SCALE", kDefaultSuiteScale, 0,
+    ctx.scale = envInt("DRSIM_SCALE", kDefaultSuiteScale, 1,
                        std::numeric_limits<int>::max());
     ctx.maxCommitted = envU64("DRSIM_MAX_COMMITTED", 0);
     const char *dir = std::getenv("DRSIM_RESULTS_DIR");

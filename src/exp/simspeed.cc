@@ -1,17 +1,16 @@
 /**
  * @file
  * The tracked simulator-speed benchmark (registry name "simspeed"):
- * simulated MIPS (committed instructions per wall-clock second) for
- * every Table-1 workload, under both scheduler implementations — the
- * retained scan-based reference path (config.scanScheduler) and the
- * event-driven wakeup path that is the default.  Writes
- * BENCH_simspeed.json ("simspeed-v1", see docs/RESULTS_SCHEMA.md);
+ * simulated MIPS (committed instructions per wall-clock second) of
+ * the detailed core for every Table-1 workload, then the same
+ * workloads sampled and checkpoint-warm parallel-sampled.  Writes
+ * BENCH_simspeed.json ("simspeed-v2", see docs/RESULTS_SCHEMA.md);
  * the committed baseline of that file is what CI's regression gate
  * compares against.
  *
  * Extra knobs on top of the usual harness environment variables:
- *   DRSIM_BENCH_REPS  timing repetitions per (workload, scheduler)
- *                     leg; best-of-reps is recorded (default 3)
+ *   DRSIM_BENCH_REPS  timing repetitions per (workload, leg);
+ *                     best-of-reps is recorded (default 3)
  *   DRSIM_SAMPLE_BENCH  sampling spec
  *                     (INTERVAL[:WINDOW[:WARMUP[:WARMFF]]], see
  *                     parseSamplingSpec) for the sampled-mode
@@ -28,23 +27,6 @@
  *   DRSIM_PSAMPLE_SCALE  DRSIM_SCALE the parallel-sampled leg builds
  *                     its own suite at (default 60; sampling's
  *                     benchmark regime is the long workload).
- *   DRSIM_E2E_BASELINE_FIG7 / DRSIM_E2E_CURRENT_FIG7
- *                     paths to fig7 binaries built at the
- *                     pre-event-core revision and at this revision;
- *                     when both are set the benchmark also times the
- *                     full fig7 sweep end to end under each and
- *                     records the comparison in the JSON's
- *                     "end_to_end" block
- *   DRSIM_E2E_BASELINE_REV  git revision of the baseline binary,
- *                     recorded as provenance (default "unknown")
- *   DRSIM_E2E_SCALE   DRSIM_SCALE for the two sweeps (default 5)
- *
- * Both legs must produce bit-identical statistics (that is the whole
- * point of the event-driven rework); the benchmark spot-checks
- * committed/cycles/executed and the full stall-cause vector and
- * aborts on any difference, so a speed number can never be reported
- * for a scheduler that diverged.  The exhaustive equality check lives
- * in tests/test_event_core.cc.
  */
 
 #include <chrono>
@@ -80,95 +62,18 @@ timedRun(const CoreConfig &cfg, const Workload &w, int reps,
     return best;
 }
 
-void
-checkIdentical(const SimResult &scan, const SimResult &event)
-{
-    bool same = scan.proc.committed == event.proc.committed &&
-                scan.proc.cycles == event.proc.cycles &&
-                scan.proc.executed == event.proc.executed;
-    for (int c = 0; c < kNumCycleCauses; ++c)
-        same = same &&
-               scan.proc.causeCycles[c] == event.proc.causeCycles[c];
-    if (!same)
-        fatal("scheduler statistics diverged on workload '",
-              scan.workload, "' — refusing to report a speedup");
-}
-
-/**
- * Time one full fig7 sweep (single job, all output discarded) and
- * return its wall-clock seconds, or a negative value if the binary
- * exited nonzero.  The sweep's result files go to a scratch directory
- * so they cannot clobber anything the caller cares about.
- */
-double
-timedSweep(const std::string &fig7_bin, int sweep_scale,
-           const std::string &scratch_dir)
-{
-    const std::string cmd = "mkdir -p '" + scratch_dir +
-                            "' && DRSIM_SCALE=" +
-                            std::to_string(sweep_scale) +
-                            " DRSIM_JOBS=1 DRSIM_RESULTS_DIR='" +
-                            scratch_dir + "' '" + fig7_bin +
-                            "' > /dev/null";
-    const auto t0 = std::chrono::steady_clock::now();
-    const int rc = std::system(cmd.c_str());
-    const auto t1 = std::chrono::steady_clock::now();
-    if (rc != 0)
-        return -1.0;
-    return std::chrono::duration<double>(t1 - t0).count();
-}
-
-/** Run the optional end-to-end sweep comparison (see file comment). */
-void
-measureEndToEnd(SpeedRunInfo &info, const std::string &results_dir)
-{
-    const char *base_bin = std::getenv("DRSIM_E2E_BASELINE_FIG7");
-    const char *cur_bin = std::getenv("DRSIM_E2E_CURRENT_FIG7");
-    if (base_bin == nullptr || cur_bin == nullptr)
-        return;
-    const char *rev = std::getenv("DRSIM_E2E_BASELINE_REV");
-    const int sweep_scale = int(envU64("DRSIM_E2E_SCALE", 5));
-    const std::string scratch = results_dir + "/e2e_scratch";
-
-    std::printf("\nend-to-end fig7 sweep (scale %d, single job):\n",
-                sweep_scale);
-    const double base_s = timedSweep(base_bin, sweep_scale, scratch);
-    if (base_s < 0.0) {
-        std::fprintf(stderr,
-                     "simspeed: baseline fig7 '%s' failed; skipping "
-                     "end-to-end block\n", base_bin);
-        return;
-    }
-    const double cur_s = timedSweep(cur_bin, sweep_scale, scratch);
-    if (cur_s < 0.0) {
-        std::fprintf(stderr,
-                     "simspeed: current fig7 '%s' failed; skipping "
-                     "end-to-end block\n", cur_bin);
-        return;
-    }
-    info.endToEnd.present = true;
-    info.endToEnd.baselineRev = rev != nullptr ? rev : "unknown";
-    info.endToEnd.sweepScale = sweep_scale;
-    info.endToEnd.baselineSeconds = base_s;
-    info.endToEnd.currentSeconds = cur_s;
-    std::printf("  baseline (%s): %8.3fs\n",
-                info.endToEnd.baselineRev.c_str(), base_s);
-    std::printf("  current:        %8.3fs   speedup %.2fx\n", cur_s,
-                base_s / cur_s);
-}
-
 /**
  * The sampled-mode comparison: rerun every workload under the same
- * event-core configuration with SMARTS-style sampling enabled and
+ * configuration with SMARTS-style sampling enabled and
  * record wall clock, the IPC estimate, and whether its 95% CI covers
  * the full-detail IPC.  The full-detail leg's timing and result are
- * reused from the scan-vs-event measurement (@p full_seconds,
+ * reused from the detailed-core measurement (@p full,
  * @p full_results).
  */
 void
-measureSampled(SpeedRunInfo &info, const CoreConfig &event_cfg,
+measureSampled(SpeedRunInfo &info, const CoreConfig &full_cfg,
                const std::vector<Workload> &suite, int reps,
-               const std::vector<double> &full_seconds,
+               const std::vector<SpeedSample> &full,
                const std::vector<SimResult> &full_results)
 {
     const char *env = std::getenv("DRSIM_SAMPLE_BENCH");
@@ -177,7 +82,7 @@ measureSampled(SpeedRunInfo &info, const CoreConfig &event_cfg,
     if (spec == "off")
         return;
 
-    CoreConfig sampled_cfg = event_cfg;
+    CoreConfig sampled_cfg = full_cfg;
     sampled_cfg.sampling = parseSamplingSpec(spec);
 
     // This leg is the tracked serial baseline: checkpoint library off
@@ -208,7 +113,7 @@ measureSampled(SpeedRunInfo &info, const CoreConfig &event_cfg,
         SimResult res;
         SampledSpeedSample s;
         s.workload = suite[i].spec->name;
-        s.fullSeconds = full_seconds[i];
+        s.fullSeconds = full[i].seconds;
         s.sampledSeconds = timedRun(sampled_cfg, suite[i], reps, res);
         s.committed = full_results[i].proc.committed;
         s.fullIpc = full_results[i].commitIpc();
@@ -283,8 +188,8 @@ checkSampledIdentical(const SimResult &a, const SimResult &b)
  * 1 no matter how well the library amortizes the fast-forward.
  */
 void
-measureParallelSampled(SpeedRunInfo &info,
-                       const CoreConfig &event_cfg, int reps)
+measureParallelSampled(SpeedRunInfo &info, const CoreConfig &full_cfg,
+                       int reps)
 {
     const char *env = std::getenv("DRSIM_PSAMPLE_BENCH");
     const std::string spec =
@@ -294,7 +199,7 @@ measureParallelSampled(SpeedRunInfo &info,
     const int scale = int(envU64("DRSIM_PSAMPLE_SCALE", 60));
     const std::vector<Workload> suite = buildSpec92Suite(scale);
 
-    CoreConfig sampled_cfg = event_cfg;
+    CoreConfig sampled_cfg = full_cfg;
     sampled_cfg.sampling = parseSamplingSpec(spec);
 
     std::printf("\ncheckpoint-warm parallel sampled vs serial "
@@ -375,77 +280,57 @@ measureParallelSampled(SpeedRunInfo &info,
 int
 runSimspeed(const RunContext &ctx)
 {
-    banner("simspeed: simulated MIPS, scan vs event-driven scheduler");
+    banner("simspeed: simulated MIPS, full detail and sampled");
     const int scale = ctx.scale;
     const std::uint64_t cap = ctx.maxCommitted;
     const int reps = int(envU64("DRSIM_BENCH_REPS", 3));
     const auto suite = buildSpec92Suite(scale);
 
     // The paper's cost-effective 4-wide configuration at a register
-    // count in the knee of the Figure-7 curves: enough stalls that
-    // skip-ahead matters, enough issue traffic that the wakeup lists
-    // matter.
-    CoreConfig event_cfg = paperConfig(4, 96);
-    event_cfg.maxCommitted = cap;
-    CoreConfig scan_cfg = event_cfg;
-    scan_cfg.scanScheduler = true;
+    // count in the knee of the Figure-7 curves: enough stalls and
+    // enough issue traffic to exercise the wakeup lists.
+    CoreConfig cfg = paperConfig(4, 96);
+    cfg.maxCommitted = cap;
 
     std::printf("\nscale %d, cap %llu, best of %d rep(s) per leg\n\n",
                 scale, (unsigned long long)cap, reps);
-    std::printf("%-10s %12s %10s %10s %10s %10s %8s\n", "workload",
-                "committed", "scan s", "event s", "scan MIPS",
-                "event MIPS", "speedup");
+    std::printf("%-10s %12s %10s %10s\n", "workload", "committed",
+                "seconds", "MIPS");
 
     std::vector<SpeedSample> samples;
-    std::vector<double> event_seconds;
-    std::vector<SimResult> event_results;
+    std::vector<SimResult> full_results;
     for (const Workload &w : suite) {
-        SimResult scan_res, event_res;
+        SimResult res;
         SpeedSample s;
         s.workload = w.spec->name;
-        s.scanSeconds = timedRun(scan_cfg, w, reps, scan_res);
-        s.eventSeconds = timedRun(event_cfg, w, reps, event_res);
-        checkIdentical(scan_res, event_res);
-        s.committed = event_res.proc.committed;
-        s.cycles = std::uint64_t(event_res.proc.cycles);
-        event_seconds.push_back(s.eventSeconds);
-        event_results.push_back(std::move(event_res));
-
-        const double scan_mips =
-            double(s.committed) / s.scanSeconds / 1e6;
-        const double event_mips =
-            double(s.committed) / s.eventSeconds / 1e6;
-        std::printf("%-10s %12llu %9.3fs %9.3fs %10.2f %10.2f %7.2fx\n",
-                    s.workload.c_str(),
-                    (unsigned long long)s.committed, s.scanSeconds,
-                    s.eventSeconds, scan_mips, event_mips,
-                    s.scanSeconds / s.eventSeconds);
+        s.seconds = timedRun(cfg, w, reps, res);
+        s.committed = res.proc.committed;
+        s.cycles = std::uint64_t(res.proc.cycles);
+        full_results.push_back(std::move(res));
+        std::printf("%-10s %12llu %9.3fs %10.2f\n", s.workload.c_str(),
+                    (unsigned long long)s.committed, s.seconds,
+                    double(s.committed) / s.seconds / 1e6);
         samples.push_back(std::move(s));
     }
 
     std::uint64_t committed = 0;
-    double scan_s = 0.0;
-    double event_s = 0.0;
+    double seconds = 0.0;
     for (const SpeedSample &s : samples) {
         committed += s.committed;
-        scan_s += s.scanSeconds;
-        event_s += s.eventSeconds;
+        seconds += s.seconds;
     }
-    std::printf("%-10s %12llu %9.3fs %9.3fs %10.2f %10.2f %7.2fx\n",
-                "aggregate", (unsigned long long)committed, scan_s,
-                event_s, double(committed) / scan_s / 1e6,
-                double(committed) / event_s / 1e6, scan_s / event_s);
+    std::printf("%-10s %12llu %9.3fs %10.2f\n", "aggregate",
+                (unsigned long long)committed, seconds,
+                double(committed) / seconds / 1e6);
 
     SpeedRunInfo info;
     info.scale = scale;
     info.maxCommitted = cap;
     info.reps = reps;
-    info.issueWidth = event_cfg.issueWidth;
-    info.numPhysRegs = event_cfg.numPhysRegs;
-    measureSampled(info, event_cfg, suite, reps, event_seconds,
-                   event_results);
-    measureParallelSampled(info, event_cfg, reps);
-    measureEndToEnd(info, ctx.resultsDir);
+    info.issueWidth = cfg.issueWidth;
+    info.numPhysRegs = cfg.numPhysRegs;
+    measureSampled(info, cfg, suite, reps, samples, full_results);
+    measureParallelSampled(info, cfg, reps);
     const std::string path = ctx.resultsDir + "/BENCH_simspeed.json";
     try {
         writeSimspeedFile(path, info, samples);

@@ -65,10 +65,7 @@ struct PointKey
 
 /**
  * Canonical key text for @p key at code version @p rev: one line per
- * field, every CoreConfig member that can affect results.  The two
- * scheduler-implementation knobs (scanScheduler, stallSkipAhead) are
- * deliberately excluded — tests/test_event_core.cc enforces that they
- * are bit-identical, so both implementations share cache entries.
+ * field, every CoreConfig member that can affect results.
  */
 std::string pointKeyText(const PointKey &key, const std::string &rev);
 

@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <limits>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -438,11 +440,18 @@ Server::handleRun(int fd, std::uint64_t connId,
     ctx.maxCommitted = opts_.maxCommitted;
     ctx.jobs = service_.jobs();
     if (const json::Value *v = req.find("scale")) {
-        ctx.scale = int(v->asU64());
-        if (ctx.scale < 1) {
-            sendError(fd, id, "bad-request", "scale must be >= 1");
+        // Range-check before narrowing: a u64 above INT_MAX must not
+        // wrap into some other (valid-looking) scale.
+        const std::uint64_t scale = v->asU64();
+        if (scale < 1 ||
+            scale > std::uint64_t(std::numeric_limits<int>::max())) {
+            sendError(fd, id, "bad-request",
+                      "scale must be in 1.." +
+                          std::to_string(
+                              std::numeric_limits<int>::max()));
             return;
         }
+        ctx.scale = int(scale);
     }
     if (const json::Value *v = req.find("max_committed"))
         ctx.maxCommitted = v->asU64();

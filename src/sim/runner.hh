@@ -114,46 +114,18 @@ void writeResultsFile(const std::string &path, const RunInfo &info,
 /// @name Simulator-speed benchmark export (bench/simspeed)
 /// @{
 
-/**
- * One workload's wall-clock measurement under both scheduler
- * implementations (config.scanScheduler on/off).  The committed and
- * cycle counts are identical across the two legs by construction —
- * the benchmark aborts otherwise — so a single pair is recorded.
- */
+/** One workload's best-of-reps full-detail wall-clock measurement. */
 struct SpeedSample
 {
     std::string workload;
     std::uint64_t committed = 0;
     std::uint64_t cycles = 0;
-    /** Best-of-reps wall time for the scan-based reference path. */
-    double scanSeconds = 0.0;
-    /** Best-of-reps wall time for the event-driven path. */
-    double eventSeconds = 0.0;
-};
-
-/**
- * Optional end-to-end measurement: wall clock of the *full* fig7
- * sweep harness, this build versus a build of the pre-event-core
- * revision (whose only scheduler was the scan).  Both builds simulate
- * the exact same instruction stream (statistics are bit-identical),
- * so the wall-clock ratio equals the simulated-MIPS improvement.
- * Populated by bench/simspeed when DRSIM_E2E_BASELINE_FIG7 is set;
- * absent from the JSON otherwise.
- */
-struct SpeedEndToEnd
-{
-    bool present = false;
-    /** Git revision the baseline fig7 binary was built from. */
-    std::string baselineRev;
-    /** DRSIM_SCALE both sweeps ran at (single-job). */
-    int sweepScale = 0;
-    double baselineSeconds = 0.0;
-    double currentSeconds = 0.0;
+    double seconds = 0.0;
 };
 
 /**
  * One workload's sampled-vs-full-detail comparison.  The full leg
- * runs the event core to completion; the sampled leg runs the same
+ * runs the detailed core to completion; the sampled leg runs the same
  * configuration under a SamplingConfig.  ciCovers records whether
  * the sampled 95% confidence interval contains the full-run IPC —
  * the accuracy contract every recorded sample must satisfy.
@@ -263,17 +235,16 @@ struct SpeedRunInfo
 {
     int scale = 0;
     std::uint64_t maxCommitted = 0;
-    /** Timing repetitions per (workload, scheduler) leg. */
+    /** Timing repetitions per (workload, leg). */
     int reps = 1;
     int issueWidth = 0;
     int numPhysRegs = 0;
-    SpeedEndToEnd endToEnd;
     SampledSpeed sampled;
     ParallelSampled parallelSampled;
 };
 
 /**
- * Serialize speed samples to the "simspeed-v1" schema documented in
+ * Serialize speed samples to the "simspeed-v2" schema documented in
  * docs/RESULTS_SCHEMA.md.  Unlike resultsJson() this file carries
  * wall-clock times and is *not* byte-deterministic across runs; the
  * derived speedup ratios are the comparable quantity.

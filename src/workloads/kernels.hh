@@ -66,11 +66,13 @@ struct Workload
 };
 
 /** Build every suite program at the given scale (seed 0 = default
- *  data; other values perturb each kernel's random data). */
+ *  data; other values perturb each kernel's random data).  fatal()
+ *  on a scale below 1. */
 std::vector<Workload> buildSpec92Suite(int scale,
                                        std::uint64_t seed = 0);
 
-/** Build a single suite member by name (fatal on unknown name). */
+/** Build a single suite member by name (fatal on unknown name or a
+ *  scale below 1). */
 Workload buildWorkload(const std::string &name, int scale,
                        std::uint64_t seed = 0);
 

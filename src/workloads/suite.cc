@@ -25,6 +25,16 @@ makeTomcatvScaled(int scale, std::uint64_t seed)
     return makeTomcatv(std::max(1, scale / 6), seed);
 }
 
+/** Build @p spec's program; fatal() on a scale below 1 (at scale 0
+ *  most kernels' loops never terminate). */
+Workload
+build(const WorkloadSpec &spec, int scale, std::uint64_t seed)
+{
+    if (scale < 1)
+        fatal("workload scale must be >= 1 (got ", scale, ")");
+    return {&spec, spec.maker(scale, seed)};
+}
+
 } // namespace
 
 const std::vector<WorkloadSpec> &
@@ -50,7 +60,7 @@ buildSpec92Suite(int scale, std::uint64_t seed)
     std::vector<Workload> suite;
     suite.reserve(spec92Specs().size());
     for (const auto &spec : spec92Specs())
-        suite.push_back({&spec, spec.maker(scale, seed)});
+        suite.push_back(build(spec, scale, seed));
     return suite;
 }
 
@@ -59,7 +69,7 @@ buildWorkload(const std::string &name, int scale, std::uint64_t seed)
 {
     for (const auto &spec : spec92Specs())
         if (spec.name == name)
-            return {&spec, spec.maker(scale, seed)};
+            return build(spec, scale, seed);
     fatal("unknown workload '", name, "'");
 }
 

@@ -1,29 +1,81 @@
 /**
  * @file
  * Bit-equality of the event-driven wakeup scheduler against the
- * retained scan-based reference path.
+ * exhaustive per-cycle scan it replaced.
  *
- * The event-driven core (per-physical-register wakeup lists, ready
- * queues, stall skip-ahead) is purely a performance rework: for any
- * configuration it must produce *identical* statistics to the
- * exhaustive per-cycle scan it replaced — not merely the same IPC,
- * but every counter, every stall-cause bucket, and every histogram
- * bin.  These tests enforce that across the full Table-1 suite under
- * both exception models, plus a grid of configurations chosen to
- * exercise the scheduler's corner cases (split queues, in-order
- * branches, blocking caches, finite write buffers, register and
- * queue starvation, instruction-cache misses).
+ * The scan scheduler rescanned every dispatch-queue entry each cycle;
+ * the event-driven core (per-physical-register wakeup lists and ready
+ * queues) replaced it as a pure performance rework.  Until the scan
+ * path was deleted these tests ran both schedulers and required every
+ * counter, every stall-cause bucket and every histogram bin to match.
+ * The scan's verdicts survive as the table below: for each case, the
+ * FNV-1a digest of the point record (serve/result_io.hh, which carries
+ * every counter and every histogram count vector) that both schedulers
+ * produced.  The cases cover the full Table-1 suite under both
+ * exception models plus a grid chosen to exercise the scheduler's
+ * corner cases (split queues, in-order branches, blocking caches,
+ * finite write buffers, register and queue starvation, instruction-
+ * cache misses, every predictor backend, result-bus arbitration).
+ *
+ * A digest here changes only when simulated behaviour changes.  A
+ * deliberate timing-model change must say so, and re-derive the table
+ * from a build that still carries an independent reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "bpred/predictor.hh"
 #include "core/processor.hh"
+#include "serve/result_io.hh"
 #include "sim/simulator.hh"
+#include "workloads/digest.hh"
 #include "workloads/kernels.hh"
 
 namespace drsim {
 namespace {
+
+/** fnv1aHex(pointRecordJson(result)) of every case below, as the scan
+ *  and event schedulers both produced it, keyed by (workload, case). */
+const std::map<std::pair<std::string, std::string>, std::string>
+    kScanReference = {
+    {{"compress", "precise"}, "7397962c9d6b10f8"},
+    {{"compress", "imprecise"}, "4d268a43c9f4653d"},
+    {{"doduc", "precise"}, "ecabb83f613b6974"},
+    {{"doduc", "imprecise"}, "6c0a1f430f477584"},
+    {{"espresso", "precise"}, "5e055857ecdaf7a1"},
+    {{"espresso", "imprecise"}, "6acfa1bc7f2f8ed3"},
+    {{"gcc1", "precise"}, "a6127494bee95d71"},
+    {{"gcc1", "imprecise"}, "a94a3443f23aa227"},
+    {{"mdljdp2", "precise"}, "6dea39cd24bba971"},
+    {{"mdljdp2", "imprecise"}, "acf2aceb7c24947e"},
+    {{"mdljsp2", "precise"}, "c0c614ab2a113453"},
+    {{"mdljsp2", "imprecise"}, "cc2dc709a3d196c0"},
+    {{"ora", "precise"}, "bc3b0dc926fd78af"},
+    {{"ora", "imprecise"}, "1f5aefcd952a46ac"},
+    {{"su2cor", "precise"}, "c6cbaec8233b962a"},
+    {{"su2cor", "imprecise"}, "5871f5d8bd34c470"},
+    {{"tomcatv", "precise"}, "06d5c3a5a0cfc046"},
+    {{"tomcatv", "imprecise"}, "0c66af02719a30fe"},
+    {{"espresso", "split-queues"}, "c576d54225e7af2b"},
+    {{"gcc1", "inorder-branches"}, "d030051f09e5f8c1"},
+    {{"compress", "lockup-cache"}, "58e04dbb8c922268"},
+    {{"su2cor", "mshr+write-buffer"}, "f1d274e4eb5a38ae"},
+    {{"tomcatv", "starved"}, "acd9b3332bdf4ee7"},
+    {{"tomcatv", "starved/imprecise"}, "dde7f09445230bf9"},
+    {{"doduc", "8-wide/small-icache"}, "d81f9dfd178d6f80"},
+    {{"doduc", "2-wide"}, "29e7aa3fb7edb53e"},
+    {{"gcc1", "bpred/mcfarling"}, "a6127494bee95d71"},
+    {{"gcc1", "bpred/bimodal"}, "cec64eef12972f0c"},
+    {{"gcc1", "bpred/gshare"}, "5a10f4c73c7130a6"},
+    {{"gcc1", "bpred/tage"}, "4cd167be0ec788a6"},
+    {{"espresso", "buses=1"}, "b770d8753660b707"},
+    {{"espresso", "buses=2"}, "8f22db7e8d8e6ab2"},
+    {{"espresso", "buses=0"}, "5e055857ecdaf7a1"},
+    {{"espresso", "bus1/starved/bimodal"}, "5e3588dbaed830ef"},
+};
 
 void
 expectHistogramEq(const Histogram &a, const Histogram &b,
@@ -80,50 +132,24 @@ expectProcStatsEq(const ProcStats &a, const ProcStats &b,
     }
 }
 
+/** Simulate @p cfg on @p w and require the point record the scan
+ *  scheduler produced for case @p label. */
 void
-expectResultsEq(const SimResult &a, const SimResult &b,
-                const std::string &label)
+expectMatchesScanReference(const CoreConfig &cfg, const Workload &w,
+                           const std::string &label)
 {
-    EXPECT_EQ(a.stopReason, b.stopReason) << label;
-    expectProcStatsEq(a.proc, b.proc, label);
-    EXPECT_EQ(a.dcache.loads, b.dcache.loads) << label;
-    EXPECT_EQ(a.dcache.loadMisses, b.dcache.loadMisses) << label;
-    EXPECT_EQ(a.dcache.loadMerges, b.dcache.loadMerges) << label;
-    EXPECT_EQ(a.dcache.storesBuffered, b.dcache.storesBuffered)
-        << label;
-    EXPECT_EQ(a.dcache.storeHits, b.dcache.storeHits) << label;
-    EXPECT_EQ(a.dcache.fetchesCancelled, b.dcache.fetchesCancelled)
-        << label;
-    EXPECT_EQ(a.dcache.mshrRejections, b.dcache.mshrRejections)
-        << label;
-    EXPECT_EQ(a.icacheAccesses, b.icacheAccesses) << label;
-    EXPECT_EQ(a.icacheMisses, b.icacheMisses) << label;
-    EXPECT_EQ(a.loadMissRate, b.loadMissRate) << label;
-    for (int c = 0; c < kNumRegClasses; ++c) {
-        expectHistogramEq(a.lifetime[c], b.lifetime[c],
-                          label + " lifetime[" + std::to_string(c) +
-                              "]");
-    }
-}
-
-/** Run @p cfg under both schedulers and require identical results. */
-void
-expectSchedulersAgree(CoreConfig cfg, const Workload &w,
-                      const std::string &label)
-{
-    CoreConfig event_cfg = cfg;
-    event_cfg.scanScheduler = false;
-    CoreConfig scan_cfg = cfg;
-    scan_cfg.scanScheduler = true;
-    const SimResult ev = simulate(event_cfg, w);
-    const SimResult sc = simulate(scan_cfg, w);
-    EXPECT_GT(ev.proc.committed, 0u) << label;
-    expectResultsEq(sc, ev, label);
+    const SimResult r = simulate(cfg, w);
+    EXPECT_GT(r.proc.committed, 0u) << label;
+    const auto it = kScanReference.find({w.spec->name, label});
+    ASSERT_NE(it, kScanReference.end())
+        << "no scan reference for " << w.spec->name << "/" << label;
+    EXPECT_EQ(fnv1aHex(serve::pointRecordJson(r)), it->second)
+        << w.spec->name << "/" << label;
 }
 
 /** The paper's 4-wide machine at a register count in the knee of the
  *  Figure-7 curves (enough stalls and enough issue traffic to
- *  exercise both the wakeup lists and the skip-ahead). */
+ *  exercise the wakeup lists). */
 CoreConfig
 paperCfg()
 {
@@ -142,9 +168,8 @@ TEST(EventCoreEquality, AllWorkloadsBothExceptionModels)
              {ExceptionModel::Precise, ExceptionModel::Imprecise}) {
             CoreConfig cfg = paperCfg();
             cfg.exceptionModel = model;
-            expectSchedulersAgree(cfg, w,
-                                  w.spec->name + "/" +
-                                      exceptionModelName(model));
+            expectMatchesScanReference(cfg, w,
+                                       exceptionModelName(model));
         }
     }
 }
@@ -154,7 +179,7 @@ TEST(EventCoreEquality, SplitDispatchQueues)
     const Workload w = buildWorkload("espresso", 4);
     CoreConfig cfg = paperCfg();
     cfg.splitDispatchQueues = true;
-    expectSchedulersAgree(cfg, w, "split-queues");
+    expectMatchesScanReference(cfg, w, "split-queues");
 }
 
 TEST(EventCoreEquality, InOrderBranches)
@@ -162,7 +187,7 @@ TEST(EventCoreEquality, InOrderBranches)
     const Workload w = buildWorkload("gcc1", 4);
     CoreConfig cfg = paperCfg();
     cfg.inOrderBranches = true;
-    expectSchedulersAgree(cfg, w, "inorder-branches");
+    expectMatchesScanReference(cfg, w, "inorder-branches");
 }
 
 TEST(EventCoreEquality, BlockingCache)
@@ -170,7 +195,7 @@ TEST(EventCoreEquality, BlockingCache)
     const Workload w = buildWorkload("compress", 4);
     CoreConfig cfg = paperCfg();
     cfg.cacheKind = CacheKind::Lockup;
-    expectSchedulersAgree(cfg, w, "lockup-cache");
+    expectMatchesScanReference(cfg, w, "lockup-cache");
 }
 
 TEST(EventCoreEquality, BoundedMshrsAndWriteBuffer)
@@ -180,21 +205,20 @@ TEST(EventCoreEquality, BoundedMshrsAndWriteBuffer)
     cfg.dcache.maxOutstandingMisses = 2;
     cfg.dcache.writeBufferEntries = 4;
     cfg.dcache.writeBufferDrainCycles = 8;
-    expectSchedulersAgree(cfg, w, "mshr+write-buffer");
+    expectMatchesScanReference(cfg, w, "mshr+write-buffer");
 }
 
 TEST(EventCoreEquality, StarvedRegistersAndQueue)
 {
     // Tiny register files and dispatch queue: the machine lives in
-    // insert-stall territory, where skip-ahead fires constantly and
-    // register frees gate everything.
+    // insert-stall territory, where register frees gate everything.
     const Workload w = buildWorkload("tomcatv", 3);
     CoreConfig cfg = paperCfg();
     cfg.numPhysRegs = 40;
     cfg.dqSize = 8;
-    expectSchedulersAgree(cfg, w, "starved");
+    expectMatchesScanReference(cfg, w, "starved");
     cfg.exceptionModel = ExceptionModel::Imprecise;
-    expectSchedulersAgree(cfg, w, "starved/imprecise");
+    expectMatchesScanReference(cfg, w, "starved/imprecise");
 }
 
 TEST(EventCoreEquality, EightWideWithImperfectICache)
@@ -206,46 +230,46 @@ TEST(EventCoreEquality, EightWideWithImperfectICache)
     cfg.numPhysRegs = 96;
     cfg.perfectICache = false;
     cfg.icache.sizeBytes = 2 * 1024; // force real I-cache misses
-    expectSchedulersAgree(cfg, w, "8-wide/small-icache");
+    expectMatchesScanReference(cfg, w, "8-wide/small-icache");
 }
 
 TEST(EventCoreEquality, TwoWideMachine)
 {
     // The narrowest supported machine: width/4-derived issue limits
     // floor at 1 (fp-divide, control), so an fp-heavy workload with
-    // branches must still retire instructions — and both schedulers
-    // must agree about every cycle of it.
+    // branches must still retire instructions — and match the scan
+    // about every cycle of it.
     const Workload w = buildWorkload("doduc", 3);
     CoreConfig cfg;
     cfg.issueWidth = 2;
     cfg.dqSize = 16;
     cfg.numPhysRegs = 64;
-    expectSchedulersAgree(cfg, w, "2-wide");
+    expectMatchesScanReference(cfg, w, "2-wide");
 }
 
 TEST(EventCoreEquality, EveryPredictorBackend)
 {
     // The wakeup rework must be invariant to which predictor drives
     // speculation: each backend changes *what* is fetched down the
-    // wrong path, never how the two schedulers see it.
+    // wrong path, never how the scheduler sees it.
     const Workload w = buildWorkload("gcc1", 3);
     for (const std::string &spec : predictorSpecs()) {
         CoreConfig cfg = paperCfg();
         cfg.predictor = spec;
-        expectSchedulersAgree(cfg, w, "bpred/" + spec);
+        expectMatchesScanReference(cfg, w, "bpred/" + spec);
     }
 }
 
 TEST(EventCoreEquality, ResultBusArbitration)
 {
     // Writeback-bus arbitration defers completions, which reshapes
-    // the event ring; the scan path must replay the same grants.
+    // the event ring; the wakeups must replay the scan's grants.
     // 0 = unlimited (the untouched fast path).
     const Workload w = buildWorkload("espresso", 3);
     for (const int buses : {1, 2, 0}) {
         CoreConfig cfg = paperCfg();
         cfg.resultBuses = buses;
-        expectSchedulersAgree(cfg, w,
+        expectMatchesScanReference(cfg, w,
                               "buses=" + std::to_string(buses));
     }
 
@@ -255,31 +279,13 @@ TEST(EventCoreEquality, ResultBusArbitration)
     cfg.resultBuses = 1;
     cfg.numPhysRegs = 48;
     cfg.predictor = "bimodal";
-    expectSchedulersAgree(cfg, w, "bus1/starved/bimodal");
-}
-
-TEST(EventCoreEquality, SkipAheadIsPureOptimization)
-{
-    // Skip-ahead must be invisible in the statistics: the event
-    // scheduler with and without it agrees bin-for-bin, in a
-    // configuration with long stalls to actually skip.
-    const Workload w = buildWorkload("compress", 4);
-    CoreConfig on = paperCfg();
-    on.numPhysRegs = 48;
-    on.cacheKind = CacheKind::Lockup;
-    on.stallSkipAhead = true;
-    CoreConfig off = on;
-    off.stallSkipAhead = false;
-    const SimResult r_on = simulate(on, w);
-    const SimResult r_off = simulate(off, w);
-    EXPECT_GT(r_on.proc.committed, 0u);
-    expectResultsEq(r_off, r_on, "skip-ahead on/off");
+    expectMatchesScanReference(cfg, w, "bus1/starved/bimodal");
 }
 
 TEST(EventCoreEquality, TickSteppingMatchesRun)
 {
-    // run() uses the skip-ahead fast loop; manual tick() stepping
-    // never skips.  Both must land on the same statistics.
+    // run() owns the loop and its stop conditions; stepping tick()
+    // by hand until done() must land on the same statistics.
     const Workload w = buildWorkload("ora", 3);
     CoreConfig cfg = paperCfg();
     cfg.numPhysRegs = 64;

@@ -121,7 +121,8 @@ TEST(ExpGrid, CrossProductCountsMatchLegacyHarnesses)
         {"fig8", 3},          {"fig10", 32},
         {"ablations", 7},     {"ext_classic", 9},
         {"ext_mshr", 14},     {"ext_writebuffer", 12},
-        {"ext_variance", 1},  {"ext_bounds", 16},
+        {"ext_variance", 1},  {"ext_bounds", 8},
+        {"ext_predictors", 64},
     };
     for (const auto &[name, count] : expected)
         EXPECT_EQ(expand(name).size(), count) << name;
@@ -316,6 +317,12 @@ TEST(ExpEnv, IntClampsToRange)
         EnvGuard guard("DRSIM_TEST_ENV", "bogus");
         EXPECT_EQ(envInt("DRSIM_TEST_ENV", 1, 0, 50), 1);
     }
+}
+
+TEST(ExpEnv, RunContextFromEnvRaisesZeroScaleToOne)
+{
+    EnvGuard scale("DRSIM_SCALE", "0");
+    EXPECT_EQ(RunContext::fromEnv().scale, 1);
 }
 
 TEST(ExpEnv, RunContextFromEnvIgnoresGarbageScale)

@@ -291,18 +291,10 @@ TEST(PointCache, KeyCoversEveryResultAffectingInput)
     // The code version is part of the key.
     EXPECT_NE(pointKeyText(base, "r2"), baseText);
 
-    // The two scheduler-implementation knobs are excluded: they are
-    // proven bit-identical, so both share cache entries.
-    PointKey sched = base;
-    sched.config.scanScheduler = !sched.config.scanScheduler;
-    sched.config.stallSkipAhead = !sched.config.stallSkipAhead;
-    EXPECT_EQ(pointKeyText(sched, "r"), baseText);
-
     // Tripwire: growing CoreConfig without revisiting pointKeyText()
     // would silently serve stale cache entries for the new knob.  If
     // this fails, add the field to the key text (or document why it
-    // cannot affect results, like the scheduler knobs above) and then
-    // update the expected size.  x86-64 / libstdc++, matching CI.
+    // cannot affect results) and then update the expected size.  x86-64 / libstdc++, matching CI.
     EXPECT_EQ(sizeof(CoreConfig), 224u)
         << "CoreConfig changed — audit pointKeyText() key coverage";
 }
@@ -726,6 +718,38 @@ TEST(Protocol, EmptyIdIsEchoedVerbatim)
         // No id in the request: none in the reply.
         client.sendLine("{\"verb\":\"ping\"}");
         EXPECT_EQ(client.readReply().find("id"), nullptr);
+    }
+    server.requestStop();
+    serving.join();
+}
+
+TEST(Protocol, ScaleOutsideIntRangeIsRefused)
+{
+    // A u64 scale is range-checked before it narrows to int, so
+    // 2^32 + 1 is refused instead of wrapping to scale 1, and 2^31 is
+    // refused with the range rather than as "below 1".
+    TmpDir dir("scale");
+    ServerOptions opts;
+    opts.port = 0;
+    opts.cacheDir = dir.str();
+    opts.jobs = 1;
+    Server server(std::move(opts));
+    const int port = server.start();
+    std::thread serving([&server] { server.serve(); });
+    {
+        ServeClient client("127.0.0.1:" + std::to_string(port));
+        for (const char *scale : {"4294967297", "2147483648", "0"}) {
+            client.sendLine("{\"verb\":\"run\",\"experiment\":"
+                            "\"table1\",\"scale\":" +
+                            std::string(scale) + "}");
+            const json::Value reply = client.readReply();
+            EXPECT_EQ(reply.at("reply").asString(), "error") << scale;
+            EXPECT_EQ(reply.at("code").asString(), "bad-request")
+                << scale;
+            EXPECT_EQ(reply.at("message").asString(),
+                      "scale must be in 1..2147483647")
+                << scale;
+        }
     }
     server.requestStop();
     serving.join();

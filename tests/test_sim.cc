@@ -65,6 +65,14 @@ TEST(Simulator, UnknownWorkloadFatal)
     EXPECT_THROW(buildWorkload("nope", 1), FatalError);
 }
 
+TEST(Simulator, ScaleBelowOneFatal)
+{
+    // At scale 0 most kernels' loops never terminate.
+    EXPECT_THROW(buildWorkload("compress", 0), FatalError);
+    EXPECT_THROW(buildWorkload("compress", -2), FatalError);
+    EXPECT_THROW(buildSpec92Suite(0), FatalError);
+}
+
 TEST(Simulator, SuiteHasNineBenchmarksInTableOrder)
 {
     const auto &specs = spec92Specs();

@@ -235,9 +235,9 @@ main(int argc, char **argv)
             spec_files.push_back(value_of(i, "--spec"));
         } else if (std::strcmp(arg, "--scale") == 0) {
             ctx.scale = std::atoi(value_of(i, "--scale"));
-            if (ctx.scale < 0) {
+            if (ctx.scale < 1) {
                 std::fprintf(stderr,
-                             "drsim_bench: --scale must be >= 0\n");
+                             "drsim_bench: --scale must be >= 1\n");
                 return 2;
             }
         } else if (std::strcmp(arg, "--max-committed") == 0) {

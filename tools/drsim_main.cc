@@ -10,8 +10,10 @@
  *   drsim --help
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "common/logging.hh"
@@ -42,6 +44,20 @@ resolveWorkload(const std::string &name, int scale, std::uint64_t seed,
     Workload w = buildWorkload(name, scale, seed);
     *fp_intensive = w.spec->fpIntensive;
     return std::move(w.program);
+}
+
+/** The value of --@p flag as a @p T; fatal() when it is below @p lo
+ *  or does not fit @p T (no silent wrap-around). */
+template <typename T>
+T
+count(const char *flag, std::int64_t v, std::int64_t lo = 0)
+{
+    if (v < lo || std::uint64_t(v) > std::numeric_limits<T>::max()) {
+        fatal("--", flag, " must be in ", lo, "..",
+              std::uint64_t(std::numeric_limits<T>::max()), " (got ", v,
+              ")");
+    }
+    return T(v);
 }
 
 void
@@ -121,7 +137,6 @@ main(int argc, char **argv)
     bool no_forwarding = false;
     bool no_spec_history = false;
     bool perfect_icache = false;
-    std::string scheduler = "event";
     std::string trace_file;
 
     OptionParser p;
@@ -151,9 +166,6 @@ main(int argc, char **argv)
               "update predictor history at execute, not insert");
     p.addFlag("perfect-icache", &perfect_icache,
               "model every instruction fetch as a hit");
-    p.addString("scheduler", &scheduler,
-                "issue scheduler: event|scan (statistics are "
-                "identical; scan is the slow reference path)");
     p.addString("trace", &trace_file,
                 "write a per-instruction pipeline trace to this file");
 
@@ -188,24 +200,24 @@ main(int argc, char **argv)
         } else {
             fatal("unknown cache kind '", cache, "'");
         }
-        cfg.dcache.maxOutstandingMisses = std::uint32_t(mshrs);
-        cfg.dcache.writeBufferEntries = std::uint32_t(wb_entries);
-        cfg.dcache.writeBufferDrainCycles = Cycle(wb_drain);
-        cfg.maxCommitted = std::uint64_t(max_committed);
+        cfg.dcache.maxOutstandingMisses =
+            count<std::uint32_t>("mshrs", mshrs);
+        cfg.dcache.writeBufferEntries =
+            count<std::uint32_t>("wb-entries", wb_entries);
+        cfg.dcache.writeBufferDrainCycles =
+            count<Cycle>("wb-drain", wb_drain);
+        cfg.maxCommitted = count<std::uint64_t>("max-committed",
+                                                max_committed);
         cfg.splitDispatchQueues = split_queues;
         cfg.inOrderBranches = inorder_branches;
         cfg.storeToLoadForwarding = !no_forwarding;
         cfg.speculativeHistoryUpdate = !no_spec_history;
         cfg.perfectICache = perfect_icache;
-        if (scheduler == "scan") {
-            cfg.scanScheduler = true;
-        } else if (scheduler != "event") {
-            fatal("unknown scheduler '", scheduler, "'");
-        }
 
         bool fp_intensive = false;
-        const Program prog = resolveWorkload(
-            workload, int(scale), std::uint64_t(seed), &fp_intensive);
+        const Program prog =
+            resolveWorkload(workload, count<int>("scale", scale, 1),
+                            std::uint64_t(seed), &fp_intensive);
         std::printf("drsim: %s (%zu static insts), %lld-way, DQ=%d, "
                     "%lld regs, %s, %s cache\n",
                     workload.c_str(), prog.numInsts(),
