@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 #include "common/logging.hh"
@@ -72,6 +74,18 @@ envInt(const char *name, int fallback, int lo, int hi)
         return lo;
     }
     return int(v);
+}
+
+std::optional<std::uint64_t>
+parseDecimal(const char *text, std::uint64_t lo, std::uint64_t hi)
+{
+    const char *end = text + std::strlen(text);
+    std::uint64_t v = 0;
+    const auto [ptr, ec] = std::from_chars(text, end, v);
+    if (ec != std::errc() || ptr == text || ptr != end || v < lo ||
+        v > hi)
+        return std::nullopt;
+    return v;
 }
 
 } // namespace drsim

@@ -9,6 +9,19 @@
 namespace drsim {
 namespace json {
 
+namespace {
+
+/** A parsed number as an exact non-negative integer, or fatal(). */
+std::uint64_t
+toU64(double v)
+{
+    if (v < 0.0 || v != std::floor(v) || v > 1.8446744073709552e19)
+        fatal("JSON number ", v, " is not an unsigned integer");
+    return static_cast<std::uint64_t>(v);
+}
+
+} // namespace
+
 // --------------------------------------------------------------- Value
 
 bool
@@ -30,10 +43,7 @@ Value::asNumber() const
 std::uint64_t
 Value::asU64() const
 {
-    const double v = asNumber();
-    if (v < 0.0 || v != std::floor(v) || v > 1.8446744073709552e19)
-        fatal("JSON number ", v, " is not an unsigned integer");
-    return static_cast<std::uint64_t>(v);
+    return toU64(asNumber());
 }
 
 const std::string &
@@ -133,289 +143,371 @@ Value::makeObject(std::vector<Member> members)
     return v;
 }
 
-// -------------------------------------------------------------- Parser
+// -------------------------------------------------------------- Reader
 
 namespace {
 
-class Parser
+void
+appendUtf8(std::string &out, unsigned cp)
 {
-  public:
-    explicit Parser(const std::string &text) : text_(text) {}
-
-    Value
-    parseDocument()
-    {
-        skipWs();
-        Value v = parseValue();
-        skipWs();
-        if (pos_ != text_.size())
-            err("trailing content after the top-level value");
-        return v;
+    if (cp < 0x80) {
+        out += char(cp);
+    } else if (cp < 0x800) {
+        out += char(0xc0 | (cp >> 6));
+        out += char(0x80 | (cp & 0x3f));
+    } else if (cp < 0x10000) {
+        out += char(0xe0 | (cp >> 12));
+        out += char(0x80 | ((cp >> 6) & 0x3f));
+        out += char(0x80 | (cp & 0x3f));
+    } else {
+        out += char(0xf0 | (cp >> 18));
+        out += char(0x80 | ((cp >> 12) & 0x3f));
+        out += char(0x80 | ((cp >> 6) & 0x3f));
+        out += char(0x80 | (cp & 0x3f));
     }
+}
 
-  private:
-    [[noreturn]] void
-    err(const std::string &what) const
-    {
-        std::size_t line = 1, col = 1;
-        for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-            if (text_[i] == '\n') {
-                ++line;
-                col = 1;
-            } else {
-                ++col;
-            }
-        }
-        fatal("JSON parse error at line ", line, ", column ", col,
-              ": ", what);
-    }
-
-    bool atEnd() const { return pos_ >= text_.size(); }
-
-    char
-    peek() const
-    {
-        if (atEnd())
-            err("unexpected end of input");
-        return text_[pos_];
-    }
-
-    char
-    next()
-    {
-        const char c = peek();
-        ++pos_;
-        return c;
-    }
-
-    void
-    expect(char c)
-    {
-        if (next() != c)
-            err(std::string("expected '") + c + "'");
-    }
-
-    void
-    skipWs()
-    {
-        while (!atEnd()) {
-            const char c = text_[pos_];
-            if (c != ' ' && c != '\t' && c != '\n' && c != '\r')
-                break;
-            ++pos_;
-        }
-    }
-
-    void
-    literal(const char *word)
-    {
-        for (const char *p = word; *p != '\0'; ++p)
-            if (atEnd() || text_[pos_++] != *p)
-                err(std::string("invalid literal (expected '") + word +
-                    "')");
-    }
-
-    Value
-    parseValue()
-    {
-        if (atEnd())
-            err("unexpected end of input");
-        switch (peek()) {
-          case '{': return parseObject();
-          case '[': return parseArray();
-          case '"': return Value::makeString(parseString());
-          case 't': literal("true"); return Value::makeBool(true);
-          case 'f': literal("false"); return Value::makeBool(false);
-          case 'n': literal("null"); return Value::makeNull();
-          default: return parseNumber();
-        }
-    }
-
-    Value
-    parseObject()
-    {
-        expect('{');
-        std::vector<Value::Member> members;
-        skipWs();
-        if (peek() == '}') {
-            ++pos_;
-            return Value::makeObject(std::move(members));
-        }
-        while (true) {
-            skipWs();
-            if (peek() != '"')
-                err("object key must be a string");
-            std::string key = parseString();
-            skipWs();
-            expect(':');
-            skipWs();
-            members.emplace_back(std::move(key), parseValue());
-            skipWs();
-            const char c = next();
-            if (c == '}')
-                break;
-            if (c != ',')
-                err("expected ',' or '}' in object");
-        }
-        return Value::makeObject(std::move(members));
-    }
-
-    Value
-    parseArray()
-    {
-        expect('[');
-        std::vector<Value> items;
-        skipWs();
-        if (peek() == ']') {
-            ++pos_;
-            return Value::makeArray(std::move(items));
-        }
-        while (true) {
-            skipWs();
-            items.push_back(parseValue());
-            skipWs();
-            const char c = next();
-            if (c == ']')
-                break;
-            if (c != ',')
-                err("expected ',' or ']' in array");
-        }
-        return Value::makeArray(std::move(items));
-    }
-
-    unsigned
-    hex4()
-    {
-        unsigned v = 0;
-        for (int i = 0; i < 4; ++i) {
-            const char c = next();
-            v <<= 4;
-            if (c >= '0' && c <= '9')
-                v |= unsigned(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                v |= unsigned(c - 'a' + 10);
-            else if (c >= 'A' && c <= 'F')
-                v |= unsigned(c - 'A' + 10);
-            else
-                err("invalid \\u escape digit");
-        }
-        return v;
-    }
-
-    void
-    appendUtf8(std::string &out, unsigned cp)
-    {
-        if (cp < 0x80) {
-            out += char(cp);
-        } else if (cp < 0x800) {
-            out += char(0xc0 | (cp >> 6));
-            out += char(0x80 | (cp & 0x3f));
-        } else if (cp < 0x10000) {
-            out += char(0xe0 | (cp >> 12));
-            out += char(0x80 | ((cp >> 6) & 0x3f));
-            out += char(0x80 | (cp & 0x3f));
-        } else {
-            out += char(0xf0 | (cp >> 18));
-            out += char(0x80 | ((cp >> 12) & 0x3f));
-            out += char(0x80 | ((cp >> 6) & 0x3f));
-            out += char(0x80 | (cp & 0x3f));
-        }
-    }
-
-    std::string
-    parseString()
-    {
-        expect('"');
-        std::string out;
-        while (true) {
-            const char c = next();
-            if (c == '"')
-                return out;
-            if (static_cast<unsigned char>(c) < 0x20)
-                err("unescaped control character in string");
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            const char e = next();
-            switch (e) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'n': out += '\n'; break;
-              case 'r': out += '\r'; break;
-              case 't': out += '\t'; break;
-              case 'u': {
-                unsigned cp = hex4();
-                if (cp >= 0xd800 && cp <= 0xdbff) {
-                    // High surrogate: a low surrogate must follow.
-                    expect('\\');
-                    expect('u');
-                    const unsigned lo = hex4();
-                    if (lo < 0xdc00 || lo > 0xdfff)
-                        err("unpaired UTF-16 surrogate");
-                    cp = 0x10000 + ((cp - 0xd800) << 10) +
-                         (lo - 0xdc00);
-                } else if (cp >= 0xdc00 && cp <= 0xdfff) {
-                    err("unpaired UTF-16 surrogate");
-                }
-                appendUtf8(out, cp);
-                break;
-              }
-              default: err("invalid escape sequence");
-            }
-        }
-    }
-
-    Value
-    parseNumber()
-    {
-        const std::size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        if (atEnd())
-            err("truncated number");
-        // Integer part: one digit, or a nonzero digit followed by more.
-        if (peek() == '0') {
-            ++pos_;
-        } else if (peek() >= '1' && peek() <= '9') {
-            while (!atEnd() && text_[pos_] >= '0' && text_[pos_] <= '9')
-                ++pos_;
-        } else {
-            err("invalid number");
-        }
-        if (!atEnd() && text_[pos_] == '.') {
-            ++pos_;
-            if (atEnd() || text_[pos_] < '0' || text_[pos_] > '9')
-                err("digits required after decimal point");
-            while (!atEnd() && text_[pos_] >= '0' && text_[pos_] <= '9')
-                ++pos_;
-        }
-        if (!atEnd() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-            ++pos_;
-            if (!atEnd() && (text_[pos_] == '+' || text_[pos_] == '-'))
-                ++pos_;
-            if (atEnd() || text_[pos_] < '0' || text_[pos_] > '9')
-                err("digits required in exponent");
-            while (!atEnd() && text_[pos_] >= '0' && text_[pos_] <= '9')
-                ++pos_;
-        }
-        const std::string tok = text_.substr(start, pos_ - start);
-        return Value::makeNumber(std::strtod(tok.c_str(), nullptr));
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
+bool
+isDigit(char c)
+{
+    return c >= '0' && c <= '9';
+}
 
 } // namespace
+
+void
+Reader::err(const std::string &what) const
+{
+    std::size_t line = 1, col = 1;
+    for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
+        if (text_[i] == '\n') {
+            ++line;
+            col = 1;
+        } else {
+            ++col;
+        }
+    }
+    fatal("JSON parse error at line ", line, ", column ", col, ": ",
+          what);
+}
+
+char
+Reader::peekChar() const
+{
+    if (atEnd())
+        err("unexpected end of input");
+    return text_[pos_];
+}
+
+char
+Reader::next()
+{
+    const char c = peekChar();
+    ++pos_;
+    return c;
+}
+
+void
+Reader::expect(char c)
+{
+    if (next() != c)
+        err(std::string("expected '") + c + "'");
+}
+
+void
+Reader::skipWs()
+{
+    while (!atEnd()) {
+        const char c = text_[pos_];
+        if (c != ' ' && c != '\t' && c != '\n' && c != '\r')
+            break;
+        ++pos_;
+    }
+}
+
+void
+Reader::literal(const char *word)
+{
+    for (const char *p = word; *p != '\0'; ++p)
+        if (atEnd() || text_[pos_++] != *p)
+            err(std::string("invalid literal (expected '") + word +
+                "')");
+}
+
+Value::Kind
+Reader::peek()
+{
+    skipWs();
+    switch (peekChar()) {
+      case '{': return Value::Kind::Object;
+      case '[': return Value::Kind::Array;
+      case '"': return Value::Kind::String;
+      case 't':
+      case 'f': return Value::Kind::Bool;
+      case 'n': return Value::Kind::Null;
+      default: return Value::Kind::Number;
+    }
+}
+
+void
+Reader::beginObject()
+{
+    skipWs();
+    expect('{');
+    started_.push_back(false);
+}
+
+void
+Reader::beginArray()
+{
+    skipWs();
+    expect('[');
+    started_.push_back(false);
+}
+
+bool
+Reader::nextElement(char close, const char *what)
+{
+    skipWs();
+    if (started_.back()) {
+        const char c = next();
+        if (c == close) {
+            started_.pop_back();
+            return false;
+        }
+        if (c != ',')
+            err(std::string("expected ',' or '") + close + "' in " +
+                what);
+        skipWs();
+    } else if (peekChar() == close) {
+        ++pos_;
+        started_.pop_back();
+        return false;
+    }
+    started_.back() = true;
+    return true;
+}
+
+bool
+Reader::nextMember(std::string &key)
+{
+    if (!nextElement('}', "object"))
+        return false;
+    if (peekChar() != '"')
+        err("object key must be a string");
+    key.clear();
+    readStringInto(key);
+    skipWs();
+    expect(':');
+    return true;
+}
+
+bool
+Reader::nextItem()
+{
+    return nextElement(']', "array");
+}
+
+bool
+Reader::readBool()
+{
+    skipWs();
+    if (peekChar() == 't') {
+        literal("true");
+        return true;
+    }
+    if (peekChar() == 'f') {
+        literal("false");
+        return false;
+    }
+    err("expected true or false");
+}
+
+double
+Reader::readNumber()
+{
+    skipWs();
+    const std::size_t start = pos_;
+    if (peekChar() == '-')
+        ++pos_;
+    if (atEnd())
+        err("truncated number");
+    // Integer part: one digit, or a nonzero digit followed by more.
+    if (text_[pos_] == '0') {
+        ++pos_;
+    } else if (text_[pos_] >= '1' && text_[pos_] <= '9') {
+        while (!atEnd() && isDigit(text_[pos_]))
+            ++pos_;
+    } else {
+        err("invalid number");
+    }
+    if (!atEnd() && text_[pos_] == '.') {
+        ++pos_;
+        if (atEnd() || !isDigit(text_[pos_]))
+            err("digits required after decimal point");
+        while (!atEnd() && isDigit(text_[pos_]))
+            ++pos_;
+    }
+    if (!atEnd() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+        ++pos_;
+        if (!atEnd() && (text_[pos_] == '+' || text_[pos_] == '-'))
+            ++pos_;
+        if (atEnd() || !isDigit(text_[pos_]))
+            err("digits required in exponent");
+        while (!atEnd() && isDigit(text_[pos_]))
+            ++pos_;
+    }
+    // The token is valid JSON, so from_chars reads all of it; only an
+    // overflowing or underflowing exponent needs strtod's saturation.
+    const char *first = text_.data() + start;
+    const char *last = text_.data() + pos_;
+    double v = 0.0;
+    if (std::from_chars(first, last, v).ec != std::errc())
+        v = std::strtod(std::string(first, last).c_str(), nullptr);
+    return v;
+}
+
+std::uint64_t
+Reader::readU64()
+{
+    // Fast path for the common token, a plain integer: with at most
+    // 15 digits it is exact as a double, so reading the digits
+    // directly gives what readNumber() and toU64() would.
+    skipWs();
+    std::size_t p = pos_;
+    std::uint64_t v = 0;
+    if (p < text_.size() && text_[p] == '0') {
+        ++p;
+    } else {
+        while (p < text_.size() && isDigit(text_[p]) && p - pos_ < 16)
+            v = v * 10 + std::uint64_t(text_[p++] - '0');
+    }
+    const bool plain =
+        p > pos_ && p - pos_ <= 15 &&
+        (p == text_.size() ||
+         (text_[p] != '.' && text_[p] != 'e' && text_[p] != 'E' &&
+          !isDigit(text_[p])));
+    if (!plain)
+        return toU64(readNumber());
+    pos_ = p;
+    return v;
+}
+
+unsigned
+Reader::hex4()
+{
+    unsigned v = 0;
+    for (int i = 0; i < 4; ++i) {
+        const char c = next();
+        v <<= 4;
+        if (c >= '0' && c <= '9')
+            v |= unsigned(c - '0');
+        else if (c >= 'a' && c <= 'f')
+            v |= unsigned(c - 'a' + 10);
+        else if (c >= 'A' && c <= 'F')
+            v |= unsigned(c - 'A' + 10);
+        else
+            err("invalid \\u escape digit");
+    }
+    return v;
+}
+
+void
+Reader::readStringInto(std::string &out)
+{
+    skipWs();
+    expect('"');
+    while (true) {
+        const char c = next();
+        if (c == '"')
+            return;
+        if (static_cast<unsigned char>(c) < 0x20)
+            err("unescaped control character in string");
+        if (c != '\\') {
+            out += c;
+            continue;
+        }
+        const char e = next();
+        switch (e) {
+          case '"': out += '"'; break;
+          case '\\': out += '\\'; break;
+          case '/': out += '/'; break;
+          case 'b': out += '\b'; break;
+          case 'f': out += '\f'; break;
+          case 'n': out += '\n'; break;
+          case 'r': out += '\r'; break;
+          case 't': out += '\t'; break;
+          case 'u': {
+            unsigned cp = hex4();
+            if (cp >= 0xd800 && cp <= 0xdbff) {
+                // High surrogate: a low surrogate must follow.
+                expect('\\');
+                expect('u');
+                const unsigned lo = hex4();
+                if (lo < 0xdc00 || lo > 0xdfff)
+                    err("unpaired UTF-16 surrogate");
+                cp = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
+            } else if (cp >= 0xdc00 && cp <= 0xdfff) {
+                err("unpaired UTF-16 surrogate");
+            }
+            appendUtf8(out, cp);
+            break;
+          }
+          default: err("invalid escape sequence");
+        }
+    }
+}
+
+std::string
+Reader::readString()
+{
+    std::string out;
+    readStringInto(out);
+    return out;
+}
+
+Value
+Reader::readValue()
+{
+    switch (peek()) {
+      case Value::Kind::Object: {
+        std::vector<Value::Member> members;
+        std::string key;
+        beginObject();
+        while (nextMember(key))
+            members.emplace_back(std::move(key), readValue());
+        return Value::makeObject(std::move(members));
+      }
+      case Value::Kind::Array: {
+        std::vector<Value> items;
+        beginArray();
+        while (nextItem())
+            items.push_back(readValue());
+        return Value::makeArray(std::move(items));
+      }
+      case Value::Kind::String: return Value::makeString(readString());
+      case Value::Kind::Bool: return Value::makeBool(readBool());
+      case Value::Kind::Null: literal("null"); return Value::makeNull();
+      case Value::Kind::Number: break;
+    }
+    return Value::makeNumber(readNumber());
+}
+
+void
+Reader::finish()
+{
+    skipWs();
+    if (!atEnd())
+        err("trailing content after the top-level value");
+}
 
 Value
 parse(const std::string &text)
 {
-    return Parser(text).parseDocument();
+    Reader in(text);
+    Value v = in.readValue();
+    in.finish();
+    return v;
 }
 
 void

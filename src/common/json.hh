@@ -95,6 +95,66 @@ class Value
 Value parse(const std::string &text);
 
 /**
+ * Pull parser over one JSON document, the grammar behind parse(): the
+ * caller walks the document in order and nothing is built that it
+ * does not ask for, so a decoder that knows its shape (the point
+ * record) fills its structures straight from the text.  Containers
+ * open with beginObject()/beginArray() and are walked with
+ * nextMember()/nextItem(), which return false after consuming the
+ * closing bracket; every read consumes one value.  Errors, grammar or
+ * type, are fatal() with parse()'s line/column location.  The text
+ * must outlive the reader.
+ */
+class Reader
+{
+  public:
+    explicit Reader(std::string_view text) : text_(text) {}
+
+    /** Kind of the next value, judged by its first character. */
+    Value::Kind peek();
+
+    void beginObject();
+    /** The next member's key into @p key, positioned at its value;
+     *  false once the object has closed. */
+    bool nextMember(std::string &key);
+    void beginArray();
+    /** True when another element follows; false once the array has
+     *  closed. */
+    bool nextItem();
+
+    bool readBool();
+    double readNumber();
+    /** readNumber() checked as Value::asU64() checks it. */
+    std::uint64_t readU64();
+    std::string readString();
+    /** The next value as a tree (parse() is readValue() + finish()). */
+    Value readValue();
+    /** Consume the next value, checking its grammar. */
+    void skipValue() { (void)readValue(); }
+    /** Require that only whitespace remains. */
+    void finish();
+
+  private:
+    [[noreturn]] void err(const std::string &what) const;
+    bool atEnd() const { return pos_ >= text_.size(); }
+    char peekChar() const;
+    char next();
+    void expect(char c);
+    void skipWs();
+    void literal(const char *word);
+    /** Step past the separator before a container's next element;
+     *  false (and the container popped) at @p close. */
+    bool nextElement(char close, const char *what);
+    void readStringInto(std::string &out);
+    unsigned hex4();
+
+    std::string_view text_;
+    std::size_t pos_ = 0;
+    /** Per open container: has an element been read yet. */
+    std::vector<bool> started_;
+};
+
+/**
  * Streaming JSON emitter: call beginObject()/key()/value()/endArray()
  * and so on in document order, then take the text with str().  The
  * Writer inserts every separator and owns the number format: integers

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -57,21 +58,23 @@ cacheFromName(const std::string &name)
           "' (want \"perfect\", \"lockup-free\", or \"lockup\")");
 }
 
-std::vector<int>
-toInts(const std::vector<std::uint64_t> &nums)
+/** @p decl's values narrowed to @p T, each range-checked first: a
+ *  value that does not fit must not wrap into some other, valid-looking
+ *  setting. */
+template <class T>
+std::vector<T>
+narrow(const SweepSpec::AxisDecl &decl)
 {
-    std::vector<int> out;
-    for (const std::uint64_t v : nums)
-        out.push_back(int(v));
-    return out;
-}
-
-std::vector<std::uint32_t>
-toU32s(const std::vector<std::uint64_t> &nums)
-{
-    std::vector<std::uint32_t> out;
-    for (const std::uint64_t v : nums)
-        out.push_back(std::uint32_t(v));
+    constexpr std::uint64_t kMax =
+        std::uint64_t(std::numeric_limits<T>::max());
+    std::vector<T> out;
+    for (const std::uint64_t v : decl.nums) {
+        if (v > kMax) {
+            fatal("sweep spec: axis '", decl.key, "' value ", v,
+                  " is out of range (max ", kMax, ")");
+        }
+        out.push_back(T(v));
+    }
     return out;
 }
 
@@ -164,11 +167,11 @@ toGrid(const SweepSpec &spec)
 
     for (const SweepSpec::AxisDecl &decl : spec.axes) {
         if (decl.key == "width") {
-            grid.axes.push_back(widthAxis(toInts(decl.nums)));
+            grid.axes.push_back(widthAxis(narrow<int>(decl)));
         } else if (decl.key == "dq") {
-            grid.axes.push_back(dqAxis(toInts(decl.nums)));
+            grid.axes.push_back(dqAxis(narrow<int>(decl)));
         } else if (decl.key == "regs") {
-            grid.axes.push_back(regsAxis(toInts(decl.nums)));
+            grid.axes.push_back(regsAxis(narrow<int>(decl)));
         } else if (decl.key == "model") {
             std::vector<ExceptionModel> models;
             for (const std::string &s : decl.strs)
@@ -180,15 +183,15 @@ toGrid(const SweepSpec &spec)
                 kinds.push_back(cacheFromName(s));
             grid.axes.push_back(cacheAxis(kinds));
         } else if (decl.key == "mshrs") {
-            grid.axes.push_back(mshrAxis(toU32s(decl.nums)));
+            grid.axes.push_back(mshrAxis(narrow<std::uint32_t>(decl)));
         } else if (decl.key == "write_buffer") {
-            grid.axes.push_back(writeBufferAxis(toU32s(decl.nums)));
+            grid.axes.push_back(writeBufferAxis(narrow<std::uint32_t>(decl)));
         } else if (decl.key == "write_buffer_drain") {
             grid.axes.push_back(writeBufferDrainAxis(decl.nums));
         } else if (decl.key == "predictor") {
             grid.axes.push_back(predictorAxis(decl.strs));
         } else if (decl.key == "result_buses") {
-            grid.axes.push_back(resultBusAxis(toInts(decl.nums)));
+            grid.axes.push_back(resultBusAxis(narrow<int>(decl)));
         } else {
             fatal("sweep spec: unknown axis '", decl.key, "'");
         }

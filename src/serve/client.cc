@@ -122,6 +122,16 @@ ServeClient::readReply()
     return json::parse(*line);
 }
 
+json::Value
+ServeClient::readReply(std::optional<SimResult> &record)
+{
+    const std::optional<std::string> line = readLine();
+    if (!line.has_value())
+        fatal("server closed the connection mid-conversation");
+    record.reset();
+    return parseWithPointRecord(*line, record);
+}
+
 namespace {
 
 /**
@@ -155,7 +165,8 @@ runViaServer(const std::string &hostPort, const std::string &request,
     std::uint64_t cacheHits = 0, computed = 0, coalesced = 0;
     bool done = false;
     while (!done) {
-        const json::Value reply = client.readReply();
+        std::optional<SimResult> record;
+        const json::Value reply = client.readReply(record);
         const std::string &kind = reply.at("reply").asString();
         if (kind == "error") {
             fatal("server error [", reply.at("code").asString(),
@@ -180,8 +191,9 @@ runViaServer(const std::string &hostPort, const std::string &request,
             if (seen[si->second][wi->second])
                 fatal("server sent a duplicate point reply");
             seen[si->second][wi->second] = true;
-            grid[si->second][wi->second] =
-                parsePointRecord(reply.at("result"));
+            if (!record.has_value())
+                fatal("server sent a point reply without a result");
+            grid[si->second][wi->second] = std::move(*record);
             ++received;
             if (reply.at("cache_hit").asBool())
                 ++cacheHits;

@@ -23,6 +23,7 @@
 #include "common/json.hh"
 #include "exp/registry.hh"
 #include "exp/spec_file.hh"
+#include "sim/simulator.hh"
 
 namespace drsim {
 namespace serve {
@@ -46,6 +47,10 @@ class ServeClient
 
     /** readLine() + parse; fatal() on EOF or malformed JSON. */
     json::Value readReply();
+
+    /** readReply() that streams a point reply's "result" record into
+     *  @p record (reset first) instead of the returned tree. */
+    json::Value readReply(std::optional<SimResult> &record);
 
   private:
     int fd_ = -1;

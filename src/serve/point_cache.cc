@@ -107,14 +107,17 @@ PointCache::load(const PointKey &key)
     std::optional<SimResult> result;
     store_.load(fnv1aHex(keyText), ".json",
                 [&](const std::string &bytes) -> std::string {
-                    const json::Value doc = json::parse(bytes);
-                    if (!doc.isObject() ||
-                        doc.at("drsim_cache").asU64() != 1)
+                    std::optional<SimResult> record;
+                    const json::Value doc =
+                        parseWithPointRecord(bytes, record);
+                    if (doc.at("drsim_cache").asU64() != 1)
                         return "not a v1 cache envelope";
                     if (doc.at("key").asString() != keyText)
                         return "key text mismatch (hash collision or "
                                "stale generator)";
-                    result = parsePointRecord(doc.at("result"));
+                    if (!record.has_value())
+                        return "no result record";
+                    result = std::move(record);
                     return "";
                 });
     return result;

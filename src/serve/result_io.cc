@@ -1,6 +1,8 @@
 #include "serve/result_io.hh"
 
+#include <functional>
 #include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -115,15 +117,29 @@ writeMembers(json::Writer &w, const S &s, const Member<S, T> (&table)[N])
         put(w.key(key), s.*field);
 }
 
+/** One member an object being decoded must carry, and the reader of
+ *  its value into the field it names. */
+struct Slot
+{
+    const char *key;
+    std::function<void(json::Reader &)> read;
+};
+
+void get(json::Reader &in, std::uint64_t &out) { out = in.readU64(); }
+void get(json::Reader &in, double &out) { out = in.readNumber(); }
+void get(json::Reader &in, bool &out) { out = in.readBool(); }
+void get(json::Reader &in, std::string &out) { out = in.readString(); }
+
 /** The inverse of put(): a dense count vector back to a histogram. */
 void
-get(const json::Value &v, Histogram &out)
+get(json::Reader &in, Histogram &out)
 {
     out = Histogram();
-    const auto &items = v.items();
-    for (std::size_t i = 0; i < items.size(); ++i)
-        out.addSamples(i, items[i].asU64());
-    if (out.counts().size() != items.size()) {
+    std::uint64_t n = 0;
+    in.beginArray();
+    while (in.nextItem())
+        out.addSamples(n++, in.readU64());
+    if (out.counts().size() != n) {
         // A trailing zero count cannot be produced by addSample/merge,
         // so a live histogram never serializes one; its presence means
         // the record was edited or corrupted.
@@ -131,26 +147,117 @@ get(const json::Value &v, Histogram &out)
     }
 }
 
-void get(const json::Value &v, std::uint64_t &out) { out = v.asU64(); }
-void get(const json::Value &v, double &out) { out = v.asNumber(); }
-
 template <class T, std::size_t N>
 void
-get(const json::Value &v, T (&a)[N])
+get(json::Reader &in, T (&a)[N])
 {
-    if (v.items().size() != N)
-        fatal("point record: array has ", v.items().size(),
-              " entries (want ", N, ")");
-    for (std::size_t i = 0; i < N; ++i)
-        get(v.at(i), a[i]);
+    std::size_t n = 0;
+    in.beginArray();
+    for (; in.nextItem(); ++n) {
+        if (n < N)
+            get(in, a[n]);
+        else
+            in.skipValue();
+    }
+    if (n != N)
+        fatal("point record: array has ", n, " entries (want ", N, ")");
+}
+
+template <class T>
+Slot
+slot(const char *key, T &field)
+{
+    return {key, [&field](json::Reader &in) { get(in, field); }};
 }
 
 template <class S, class T, std::size_t N>
 void
-readMembers(const json::Value &obj, S &s, const Member<S, T> (&table)[N])
+addMembers(std::vector<Slot> &slots, S &s, const Member<S, T> (&table)[N])
 {
     for (const auto &[key, field] : table)
-        get(obj.at(key), s.*field);
+        slots.push_back(slot(key, s.*field));
+}
+
+/** Decode one object carrying exactly @p slots' members, in any
+ *  order.  Unknown members are skipped; a missing or repeated one is
+ *  fatal. */
+void
+readObject(json::Reader &in, const std::vector<Slot> &slots)
+{
+    if (in.peek() != json::Value::Kind::Object)
+        fatal("point record: not a JSON object");
+    std::vector<bool> seen(slots.size());
+    std::string key;
+    in.beginObject();
+    while (in.nextMember(key)) {
+        std::size_t i = 0;
+        while (i < slots.size() && key != slots[i].key)
+            ++i;
+        if (i == slots.size()) {
+            in.skipValue();
+            continue;
+        }
+        if (seen[i])
+            fatal("point record: member '", key, "' repeats");
+        seen[i] = true;
+        slots[i].read(in);
+    }
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        if (!seen[i])
+            fatal("point record: no member '", slots[i].key, "'");
+    }
+}
+
+/** Decode one record at @p in's position. */
+SimResult
+readPointRecord(json::Reader &in)
+{
+    SimResult r;
+
+    std::vector<Slot> sampled = {slot("enabled", r.sampled.enabled)};
+    addMembers(sampled, r.sampled, kSampledCounters);
+    addMembers(sampled, r.sampled, kSampledEstimates);
+
+    ProcStats &p = r.proc;
+    std::vector<Slot> proc;
+    addMembers(proc, p, kProcCounters);
+    proc.push_back(slot("cause_cycles", p.causeCycles));
+    addMembers(proc, p, kProcHistograms);
+    proc.push_back(slot("live", p.live));
+
+    std::vector<Slot> dcache;
+    addMembers(dcache, r.dcache, kDCacheCounters);
+
+    const auto object = [](const char *key,
+                           const std::vector<Slot> &members) {
+        return Slot{key, [&members](json::Reader &sub) {
+                        readObject(sub, members);
+                    }};
+    };
+    std::vector<Slot> top = {
+        {"record",
+         [](json::Reader &sub) {
+             const std::string tag = sub.readString();
+             if (tag != kRecordTag) {
+                 fatal("point record: version tag '", tag, "' (want '",
+                       kRecordTag, "')");
+             }
+         }},
+        slot("workload", r.workload),
+        slot("fp_intensive", r.fpIntensive),
+        {"stop_reason",
+         [&r](json::Reader &sub) {
+             r.stopReason = stopReasonFromName(sub.readString());
+         }},
+        object("sampled", sampled),
+        object("proc", proc),
+        object("dcache", dcache),
+    };
+    addMembers(top, r, kResultCounters);
+    top.push_back(slot("load_miss_rate", r.loadMissRate));
+    top.push_back(slot("lifetime", r.lifetime));
+    readObject(in, top);
+    return r;
 }
 
 } // namespace
@@ -199,41 +306,39 @@ pointRecordJson(const SimResult &r)
 SimResult
 parsePointRecord(const json::Value &v)
 {
-    if (!v.isObject())
-        fatal("point record: not a JSON object");
-    if (v.at("record").asString() != kRecordTag) {
-        fatal("point record: version tag '",
-              v.at("record").asString(), "' (want '", kRecordTag, "')");
-    }
-
-    SimResult r;
-    r.workload = v.at("workload").asString();
-    r.fpIntensive = v.at("fp_intensive").asBool();
-    r.stopReason = stopReasonFromName(v.at("stop_reason").asString());
-
-    const json::Value &sampled = v.at("sampled");
-    r.sampled.enabled = sampled.at("enabled").asBool();
-    readMembers(sampled, r.sampled, kSampledCounters);
-    readMembers(sampled, r.sampled, kSampledEstimates);
-
-    const json::Value &proc = v.at("proc");
-    ProcStats &p = r.proc;
-    readMembers(proc, p, kProcCounters);
-    get(proc.at("cause_cycles"), p.causeCycles);
-    readMembers(proc, p, kProcHistograms);
-    get(proc.at("live"), p.live);
-
-    readMembers(v.at("dcache"), r.dcache, kDCacheCounters);
-    readMembers(v, r, kResultCounters);
-    r.loadMissRate = v.at("load_miss_rate").asNumber();
-    get(v.at("lifetime"), r.lifetime);
-    return r;
+    return parsePointRecord(json::serialize(v));
 }
 
 SimResult
 parsePointRecord(const std::string &text)
 {
-    return parsePointRecord(json::parse(text));
+    json::Reader in(text);
+    SimResult r = readPointRecord(in);
+    in.finish();
+    return r;
+}
+
+json::Value
+parseWithPointRecord(const std::string &text,
+                     std::optional<SimResult> &record)
+{
+    json::Reader in(text);
+    if (in.peek() != json::Value::Kind::Object)
+        fatal("expected a JSON object holding a point record");
+    std::vector<json::Value::Member> members;
+    std::string key;
+    in.beginObject();
+    while (in.nextMember(key)) {
+        if (key != "result") {
+            members.emplace_back(std::move(key), in.readValue());
+        } else if (record.has_value()) {
+            fatal("point record: member 'result' repeats");
+        } else {
+            record = readPointRecord(in);
+        }
+    }
+    in.finish();
+    return json::Value::makeObject(std::move(members));
 }
 
 } // namespace serve

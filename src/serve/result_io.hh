@@ -41,6 +41,7 @@
 #ifndef DRSIM_SERVE_RESULT_IO_HH
 #define DRSIM_SERVE_RESULT_IO_HH
 
+#include <optional>
 #include <string>
 
 #include "common/json.hh"
@@ -60,12 +61,25 @@ void writePointRecord(json::Writer &w, const SimResult &r);
 /** Serialize @p r to a compact, deterministic JSON object. */
 std::string pointRecordJson(const SimResult &r);
 
-/** Reconstruct a SimResult from a parsed record; fatal() on any
- *  missing field, type mismatch, or version mismatch. */
+/** Reconstruct a SimResult from the record text @p text, decoding
+ *  it in one streaming pass (no intermediate tree); fatal() on any
+ *  missing or repeated member, type mismatch, or version mismatch.
+ *  Members may come in any order; unknown ones are skipped. */
+SimResult parsePointRecord(const std::string &text);
+
+/** The same decoder over an already parsed record (re-serialized
+ *  first, so both forms accept exactly the same records). */
 SimResult parsePointRecord(const json::Value &v);
 
-/** Convenience: parse @p text then reconstruct. */
-SimResult parsePointRecord(const std::string &text);
+/**
+ * Parse the JSON object @p text whose "result" member, when present,
+ * is a point record: the record is streamed into @p record (which
+ * must be empty) and every other member comes back as a parsed
+ * object.  This is how the point cache reads its envelopes and the
+ * client its point replies, so neither builds a tree of the record.
+ */
+json::Value parseWithPointRecord(const std::string &text,
+                                 std::optional<SimResult> &record);
 
 } // namespace serve
 } // namespace drsim

@@ -1,5 +1,6 @@
 #include "workloads/builder.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.hh"
@@ -55,7 +56,7 @@ ProgramBuilder::allocWords(std::size_t nwords)
 void
 ProgramBuilder::initWord(Addr addr, std::uint64_t value)
 {
-    prog_.initialWords_[addr & ~Addr{7}] = value;
+    prog_.initialWords_.push_back({addr & ~Addr{7}, value});
 }
 
 void
@@ -271,16 +272,30 @@ ProgramBuilder::build()
             inst.target = block;
         }
     }
+    // The data image, written in any order, becomes one sorted run:
+    // a stable sort keeps repeated writes of a word in write order,
+    // and the dedupe keeps the last of each run.  Kernels mostly
+    // write ascending, so the sort is usually skipped.
+    std::vector<DataWord> &words = prog_.initialWords_;
+    const auto byAddr = [](const DataWord &a, const DataWord &b) {
+        return a.addr < b.addr;
+    };
+    if (!std::is_sorted(words.begin(), words.end(), byAddr))
+        std::stable_sort(words.begin(), words.end(), byAddr);
+    std::size_t kept = 0;
+    for (const DataWord &w : words) {
+        if (kept > 0 && words[kept - 1].addr == w.addr)
+            words[kept - 1].value = w.value;
+        else
+            words[kept++] = w;
+    }
+    words.resize(kept);
+    words.shrink_to_fit();
     // Record the data-segment extent for static memory-bounds checks:
     // the bump allocator's brk, widened over any directly initialized
     // words outside it.
-    Addr limit = dataBrk_;
-    for (const auto &[addr, value] : prog_.initialWords_) {
-        (void)value;
-        if (addr + 8 > limit)
-            limit = addr + 8;
-    }
-    prog_.dataLimit_ = limit;
+    prog_.dataLimit_ =
+        words.empty() ? dataBrk_ : std::max(dataBrk_, words.back().addr + 8);
     prog_.finalize();
     return std::move(prog_);
 }

@@ -62,14 +62,14 @@ Emulator::Emulator(const Program *external,
     // snaps addresses to, so the last partially-covered word is dense.
     dataLimit_ = (prog_.dataLimit() + 7) & ~Addr{7};
     data_.assign(std::size_t((dataLimit_ - kDataBase) / 8), 0);
-    for (const auto &[addr, word] : prog_.initialWords()) {
+    for (const DataWord &w : prog_.initialWords()) {
         // Reads always canonicalize, so only canonical addresses may
         // land in the dense segment; a non-canonical initial address
         // stays in the map, unreachable, exactly as before.
-        if (canonical(addr) == addr)
-            rawWriteMem(addr, word);
+        if (canonical(w.addr) == w.addr)
+            rawWriteMem(w.addr, w.value);
         else
-            mem_[addr] = word;
+            mem_[w.addr] = w.value;
     }
 }
 

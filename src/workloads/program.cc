@@ -1,5 +1,7 @@
 #include "workloads/program.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "workloads/digest.hh"
 
@@ -46,6 +48,17 @@ Program::finalize()
     // Fill the digest cache while digest_ is still empty, so
     // programDigest() takes its computing path exactly once.
     digest_ = programDigest(*this);
+}
+
+std::optional<std::uint64_t>
+Program::initialWord(Addr addr) const
+{
+    const auto it = std::lower_bound(
+        initialWords_.begin(), initialWords_.end(), addr,
+        [](const DataWord &w, Addr a) { return w.addr < a; });
+    if (it == initialWords_.end() || it->addr != addr)
+        return std::nullopt;
+    return it->value;
 }
 
 CodeLoc

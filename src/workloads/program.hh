@@ -13,8 +13,8 @@
 #define DRSIM_WORKLOADS_PROGRAM_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -37,6 +37,13 @@ struct BasicBlock
     std::vector<Instruction> insts;
     /** PC of the first instruction (assigned by Program::finalize). */
     Addr startPc = 0;
+};
+
+/** One initialized (8-byte-aligned) data word. */
+struct DataWord
+{
+    Addr addr;
+    std::uint64_t value;
 };
 
 /** A position in the program: block index + instruction offset. */
@@ -112,12 +119,16 @@ class Program
      */
     CodeLoc blockEntryResolved(int block) const;
 
-    /** Initial value of each (8-byte-aligned) data word. */
-    const std::unordered_map<Addr, std::uint64_t> &
-    initialWords() const
+    /** The initial data image: every initialized word once, in
+     *  ascending address order. */
+    const std::vector<DataWord> &initialWords() const
     {
         return initialWords_;
     }
+
+    /** Initial value of the word at @p addr; nullopt when the
+     *  program does not initialize it. */
+    std::optional<std::uint64_t> initialWord(Addr addr) const;
 
     /// @name Data-segment extent (for static memory-bounds checks)
     /// @{
@@ -149,7 +160,7 @@ class Program
     std::vector<BasicBlock> blocks_;
     int entryBlock_ = 0;
     std::size_t numInsts_ = 0;
-    std::unordered_map<Addr, std::uint64_t> initialWords_;
+    std::vector<DataWord> initialWords_;
     Addr dataLimit_ = kDataBase;
     /** Content digest; set by finalize() (see contentDigest()). */
     std::string digest_;

@@ -7,6 +7,7 @@
 
 #include "common/logging.hh"
 #include "workloads/builder.hh"
+#include "workloads/emulator.hh"
 #include "workloads/program.hh"
 
 namespace drsim {
@@ -130,9 +131,33 @@ TEST(Builder, DataAllocationIsAlignedAndDisjoint)
     b.initDouble(c, 2.5);
     b.halt();
     const Program p = b.build();
-    EXPECT_EQ(p.initialWords().at(a), 123u);
-    EXPECT_EQ(p.initialWords().at(c),
+    EXPECT_EQ(p.initialWord(a).value(), 123u);
+    EXPECT_EQ(p.initialWord(c).value(),
               std::bit_cast<std::uint64_t>(2.5));
+}
+
+TEST(Builder, RepeatedInitWordKeepsTheLastWrite)
+{
+    ProgramBuilder b("rewrite");
+    const Addr a = b.allocWords(4);
+    b.initWord(a + 16, 1);
+    b.initWord(a, 2);
+    b.initWord(a + 16, 3); // out of address order, then rewritten
+    b.initWord(a + 19, 4); // an unaligned address names the same word
+    b.halt();
+    const Program p = b.build();
+    // One entry per word, ascending, each holding its last write.
+    ASSERT_EQ(p.initialWords().size(), 2u);
+    EXPECT_EQ(p.initialWords()[0].addr, a);
+    EXPECT_EQ(p.initialWords()[0].value, 2u);
+    EXPECT_EQ(p.initialWords()[1].addr, a + 16);
+    EXPECT_EQ(p.initialWords()[1].value, 4u);
+    EXPECT_EQ(p.initialWord(a + 16).value(), 4u);
+    EXPECT_FALSE(p.initialWord(a + 8).has_value());
+    // The emulator starts from the same image.
+    Emulator emu(p);
+    EXPECT_EQ(emu.memWord(a + 16), 4u);
+    EXPECT_EQ(emu.memWord(a), 2u);
 }
 
 TEST(Builder, OperandClassValidation)

@@ -283,5 +283,30 @@ TEST(ContentStore, AsyncRequestQueuesUntilFinish)
                                                IntTier::Via::Memory}));
 }
 
+TEST(ContentStore, BoundedTierEvictsTheLeastRecentlyUsed)
+{
+    IntTier tier(2);
+    const auto value = [](int v) {
+        return [v] { return std::make_shared<const int>(v); };
+    };
+    tier.get("a", value(1));
+    tier.get("b", value(2));
+    tier.get("a", value(0)); // a hit: "b" is now the least recent
+    tier.get("c", value(3)); // evicts "b"
+    EXPECT_EQ(tier.stats().resident, 2u);
+    EXPECT_EQ(tier.stats().evicted, 1u);
+
+    IntTier::Via via = IntTier::Via::Owner;
+    EXPECT_EQ(*tier.get("a", value(0), &via), 1);
+    EXPECT_EQ(via, IntTier::Via::Memory);
+    EXPECT_EQ(*tier.get("c", value(0), &via), 3);
+    EXPECT_EQ(via, IntTier::Via::Memory);
+    EXPECT_EQ(*tier.get("b", value(4), &via), 4); // recomputed
+    EXPECT_EQ(via, IntTier::Via::Owner);
+    EXPECT_EQ(tier.stats().owned, 4u);
+    EXPECT_EQ(tier.stats().resident, 2u);
+    EXPECT_EQ(tier.stats().evicted, 2u);
+}
+
 } // namespace
 } // namespace drsim

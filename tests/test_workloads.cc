@@ -8,6 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+
+#include "workloads/classic.hh"
+#include "workloads/digest.hh"
 #include "workloads/emulator.hh"
 #include "workloads/kernels.hh"
 
@@ -177,6 +183,54 @@ TEST(KernelSuite, DataFootprintsDiffer)
     const Workload e = buildWorkload("espresso", 1);
     EXPECT_GT(c.program.initialWords().size(),
               4 * e.program.initialWords().size());
+}
+
+TEST(KernelSuite, ContentDigestsAreFrozen)
+{
+    // Every point-cache and checkpoint-library key folds in
+    // programDigest(), so these values pin each kernel's code and
+    // data image as the caches see them: a change to how a Program
+    // stores either must leave them alone.  A deliberate kernel edit
+    // is a new simulation input; update its value here.
+    const std::map<std::pair<std::string, std::uint64_t>, std::string>
+        frozen = {
+            {{"compress", 0}, "bef3898c2edf92f8"},
+            {{"doduc", 0}, "703643e37c40b0fd"},
+            {{"espresso", 0}, "febacd91b43170c7"},
+            {{"gcc1", 0}, "a273dd65cabc01cf"},
+            {{"mdljdp2", 0}, "682df22e1cba4224"},
+            {{"mdljsp2", 0}, "0f73d1ec1c49f78a"},
+            {{"ora", 0}, "3b980bb46735b488"},
+            {{"su2cor", 0}, "5731a344869b9755"},
+            {{"tomcatv", 0}, "7df92a3a20ae2a77"},
+            // ext_variance builds the kernels at seeds 0..4.
+            {{"compress", 3}, "dde8a6a2bd41b79f"},
+            {{"doduc", 3}, "6a9c63a3a47fe4a5"},
+            {{"espresso", 3}, "93d838b1470df238"},
+            {{"gcc1", 3}, "f7335bb4e25cd430"},
+            {{"mdljdp2", 3}, "2b6053b0a4895918"},
+            {{"mdljsp2", 3}, "5f7afaeca19c94a9"},
+            {{"ora", 3}, "c1de0bf0cc2494e8"},
+            {{"su2cor", 3}, "3039919f260a58fe"},
+            {{"tomcatv", 3}, "6f655803e11560e9"},
+        };
+    for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{3}}) {
+        for (const Workload &w : buildSpec92Suite(2, seed)) {
+            EXPECT_EQ(programDigest(w.program),
+                      frozen.at({w.spec->name, seed}))
+                << w.spec->name << " seed " << seed;
+        }
+    }
+
+    const std::map<std::string, std::string> classic = {
+        {"daxpy", "b109b6570bac2690"},
+        {"sieve", "6f1f65cae24cd9ab"},
+        {"queens", "e7f04b1a955c6815"},
+        {"wordcopy", "4692fc5eb6387198"},
+        {"whet", "93bea4dba882e5d4"},
+    };
+    for (const auto &[name, program] : buildClassicSuite())
+        EXPECT_EQ(programDigest(program), classic.at(name)) << name;
 }
 
 } // namespace

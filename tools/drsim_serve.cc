@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "common/env.hh"
@@ -100,12 +101,14 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--host") == 0) {
             opts.host = value_of(i, "--host");
         } else if (std::strcmp(arg, "--port") == 0) {
-            opts.port = std::atoi(value_of(i, "--port"));
-            if (opts.port < 0 || opts.port > 65535) {
+            const std::optional<std::uint64_t> port =
+                parseDecimal(value_of(i, "--port"), 0, 65535);
+            if (!port.has_value()) {
                 std::fprintf(stderr,
                              "drsim_serve: --port must be 0..65535\n");
                 return 2;
             }
+            opts.port = int(*port);
         } else if (std::strcmp(arg, "--cache") == 0) {
             opts.cacheDir = value_of(i, "--cache");
         } else {
