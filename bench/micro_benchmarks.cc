@@ -27,7 +27,7 @@ BM_PredictorPredictUpdate(benchmark::State &state)
     Rng rng(1);
     Addr pc = 0x1000;
     for (auto _ : state) {
-        const std::uint32_t h = pred.history();
+        const std::uint64_t h = pred.history();
         const bool p = pred.predictAndUpdateHistory(pc);
         const bool actual = rng.chance(0.6);
         pred.update(pc, h, actual);
@@ -125,11 +125,14 @@ namespace drsim {
 namespace bench {
 
 int
-runMicroBenchmarks(int argc, char **argv)
+runMicroBenchmarks(const exp::RunContext &)
 {
+    // No argv: google-benchmark reads its flags from the environment
+    // (BENCHMARK_FILTER, BENCHMARK_MIN_TIME, ...).
+    char arg0[] = "drsim";
+    char *argv[] = {arg0, nullptr};
+    int argc = 1;
     benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

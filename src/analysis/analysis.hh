@@ -35,7 +35,7 @@
  *             access), worth a human look.
  *
  * Consumers: `verifyProgram()` in src/sim (fail-fast before every
- * simulation), the `drsim_lint` CLI (tools/), and tests.
+ * simulation), the `drsim lint` verb (tools/), and tests.
  */
 
 #ifndef DRSIM_ANALYSIS_ANALYSIS_HH
@@ -132,7 +132,7 @@ std::string formatFinding(const Finding &finding);
 
 /**
  * Serialize a report as a strict-JSON object (schema documented in
- * tools/drsim_lint.cc and docs/RESULTS_SCHEMA.md); round-trips through
+ * tools/lint_verb.cc and docs/RESULTS_SCHEMA.md); round-trips through
  * json::parse().
  */
 std::string reportToJson(const Report &report);

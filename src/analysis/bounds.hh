@@ -122,7 +122,7 @@ struct BoundsReport
 BoundsReport computeBounds(const Program &program,
                            const MachineLimits &limits);
 
-/** Human-readable multi-line rendering (drsim_lint --bounds). */
+/** Human-readable multi-line rendering (`drsim lint --bounds`). */
 std::string formatBounds(const BoundsReport &report);
 
 /** Compact JSON object, schema "drsim-bounds-v1". */

@@ -16,7 +16,7 @@
  * weaken a lower bound on iteration time, never overstate it.
  *
  * Consumers: bounds.cc (static IPC / register-pressure bounds),
- * drsim_lint --bounds, and the runtime cross-check gates in src/sim.
+ * `drsim lint --bounds`, and the runtime cross-check gates in src/sim.
  */
 
 #ifndef DRSIM_ANALYSIS_DATAFLOW_HH

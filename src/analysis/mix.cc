@@ -70,7 +70,7 @@ mixTargetFor(const std::string &name)
     // Estimator-space signatures of the nine kernels as shipped
     // (values produced by estimateMix() and cross-checked against the
     // Table-1 mix documented in each kernel's header).  Regenerate
-    // with `drsim_lint --print-mix` after an intentional kernel edit.
+    // with `drsim lint --print-mix` after an intentional kernel edit.
     static const Entry kTable[] = {
         {"compress", {13.1, 5.3, 5.3, 0.0}},
         {"doduc", {7.7, 5.1, 7.7, 25.7}},

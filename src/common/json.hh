@@ -6,7 +6,7 @@
  * spec files, reports and the JSONL trace).
  *
  * The parser exists so the repo can *consume* its own artifacts — the
- * `stall_report` tool renders stall-breakdown tables from any results
+ * `drsim report` verb renders stall-breakdown tables from any results
  * file, and the exporter tests round-trip every emitted document —
  * without an external dependency.  It is deliberately strict (RFC 8259
  * grammar, no trailing commas, no comments, single top-level value,

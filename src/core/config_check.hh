@@ -1,7 +1,7 @@
 /**
  * @file
  * Static feasibility screening for CoreConfig, run at spec-parse time
- * (drsim_bench sweep expansion, drsim_serve request handling) so an
+ * (`drsim bench` sweep expansion, `drsim serve` request handling) so an
  * infeasible point rejects the whole sweep up front instead of
  * fatal()ing mid-run after hours of simulation.
  *

@@ -981,9 +981,8 @@ int
 microStub(const RunContext &)
 {
     std::fprintf(stderr,
-                 "micro is the google-benchmark suite; run it via "
-                 "the drsim_bench driver or the bench/micro "
-                 "binary\n");
+                 "micro is the google-benchmark suite; run it as "
+                 "`drsim bench micro`\n");
     return 2;
 }
 

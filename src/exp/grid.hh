@@ -15,7 +15,7 @@
  * nested their loops one way and spelled their names another.
  *
  * The expansion is deliberately free of I/O and environment reads so
- * `drsim_bench --dry-run` can audit a sweep without running it and
+ * `drsim bench --dry-run` can audit a sweep without running it and
  * tests can assert counts and orderings cheaply.
  */
 

@@ -212,22 +212,6 @@ runExperiment(const ExperimentDef &def, const RunContext &ctx,
     return 0;
 }
 
-int
-runExperimentByName(const char *name)
-{
-    const ExperimentDef *def = findExperiment(name);
-    if (def == nullptr) {
-        std::fprintf(stderr, "unknown experiment '%s'\n", name);
-        return 2;
-    }
-    try {
-        return runExperiment(*def, RunContext::fromEnv());
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "%s: %s\n", name, e.what());
-        return 1;
-    }
-}
-
 CoreConfig
 paperConfig(int issue_width, int num_regs, ExceptionModel model,
             CacheKind cache)

@@ -3,8 +3,8 @@
  * The experiment registry: every paper table/figure reproduction,
  * ablation, and extension study described as data (a name, a banner,
  * declarative grids, a suite builder, and a print/export policy) and
- * runnable by name — from the single `drsim_bench` driver, from the
- * thin per-experiment wrapper binaries in bench/, or from tests.
+ * runnable by name — from the single `drsim bench` driver or from
+ * tests.
  *
  * Two shapes of experiment coexist:
  *
@@ -38,7 +38,7 @@ namespace exp {
 
 /**
  * Everything an experiment run needs from the outside world, resolved
- * once (environment variables, then drsim_bench flags) instead of
+ * once (environment variables, then `drsim bench` flags) instead of
  * being re-read piecemeal by every harness.
  */
 struct RunContext
@@ -81,11 +81,11 @@ SamplingConfig parseSamplingSpec(const std::string &text);
 
 struct ExperimentDef
 {
-    /** Registry key, artifact id, and legacy binary name. */
+    /** Registry key and artifact id. */
     const char *name;
     /** Banner line printed before a grid experiment runs. */
     const char *title;
-    /** One-line summary for `drsim_bench --list`. */
+    /** One-line summary for `drsim bench --list`. */
     const char *description;
 
     /** Declarative sweep; null for custom experiments. */
@@ -111,7 +111,7 @@ const std::vector<ExperimentDef> &experimentRegistry();
 const ExperimentDef *findExperiment(const std::string &name);
 
 /**
- * Replace a custom experiment's run() hook.  Used by drsim_bench to
+ * Replace a custom experiment's run() hook.  Used by `drsim bench` to
  * attach the google-benchmark micro suite, which lives outside this
  * library so the library does not link google-benchmark.
  */
@@ -137,10 +137,6 @@ std::vector<Workload> buildSuite(const ExperimentDef &def,
  */
 int runExperiment(const ExperimentDef &def, const RunContext &ctx,
                   const std::string &filter = "");
-
-/** runExperiment() with a context from the environment — the entire
- *  body of each thin bench/ wrapper binary. */
-int runExperimentByName(const char *name);
 
 /// @name Shared harness helpers (formerly bench/bench_util.hh)
 /// @{

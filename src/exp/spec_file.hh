@@ -1,7 +1,7 @@
 /**
  * @file
  * JSON sweep-spec files: a declarative, on-disk description of a
- * config grid that `drsim_bench --spec <file>` can run without
+ * config grid that `drsim bench --spec <file>` can run without
  * recompiling — the same axes the built-in experiments use (issue
  * width, dispatch-queue size, register count, exception model, cache
  * kind, MSHR bound, write-buffer geometry), expanded by the same

@@ -60,7 +60,7 @@ ServeClient::ServeClient(const std::string &hostPort)
         const int err = errno;
         ::close(fd_);
         fd_ = -1;
-        fatal("cannot connect to drsim_serve at ", hostPort, ": ",
+        fatal("cannot connect to a drsim serve daemon at ", hostPort, ": ",
               std::strerror(err));
     }
 }
@@ -212,7 +212,7 @@ runViaServer(const std::string &hostPort, const std::string &request,
               " points");
     }
     std::fprintf(stderr,
-                 "[drsim_bench] served by %s: %zu points, "
+                 "[drsim bench] served by %s: %zu points, "
                  "%llu cache hits, %llu computed, %llu coalesced\n",
                  hostPort.c_str(), expected,
                  static_cast<unsigned long long>(cacheHits),
@@ -229,7 +229,7 @@ runViaServer(const std::string &hostPort, const std::string &request,
 }
 
 /** Close a run request @p w by appending the run options of @p ctx;
- *  the server applies them exactly as drsim_bench would locally. */
+ *  the server applies them exactly as `drsim bench` would locally. */
 std::string
 finishRunRequest(json::Writer &w, const exp::RunContext &ctx)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
- * Client side of the drsim_serve protocol (docs/SERVER.md): the
- * plumbing behind `drsim_bench --server HOST:PORT`.
+ * Client side of the `drsim serve` protocol (docs/SERVER.md): the
+ * plumbing behind `drsim bench --server HOST:PORT`.
  *
  * The design constraint is byte-identity: a sweep served from the
  * daemon must produce the same stdout tables and the same schema-v2
@@ -28,7 +28,7 @@
 namespace drsim {
 namespace serve {
 
-/** One NDJSON connection to a drsim_serve daemon. */
+/** One NDJSON connection to a `drsim serve` daemon. */
 class ServeClient
 {
   public:

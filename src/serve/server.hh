@@ -1,6 +1,6 @@
 /**
  * @file
- * The drsim_serve TCP front end: a newline-delimited JSON protocol
+ * The `drsim serve` TCP front end: a newline-delimited JSON protocol
  * over a plain socket (docs/SERVER.md is the normative wire spec).
  *
  * One thread accepts connections; each connection gets its own thread
@@ -133,6 +133,14 @@ class Server
     std::atomic<std::uint64_t> requestErrors_{0};
     std::atomic<std::uint64_t> connectionsTotal_{0};
 };
+
+/**
+ * The body of `drsim serve`: parse the daemon's options from @p argv
+ * (the arguments after the verb), then bind, serve until
+ * SIGINT/SIGTERM, and drain.  Returns the exit code: 0 clean
+ * shutdown, 1 startup failure, 2 usage error.
+ */
+int daemonMain(int argc, const char *const *argv);
 
 } // namespace serve
 } // namespace drsim

@@ -92,7 +92,7 @@ struct SampleCkpts;
 /**
  * Generate the full plan for @p key from scratch, with no caching:
  * the store's generation backend, and (called directly) the
- * library-disabled baseline path of bench/simspeed.
+ * library-disabled baseline path of the simspeed experiment.
  */
 SampleCkpts generateSampleCkpts(const CkptKey &key,
                                 const Program &program);

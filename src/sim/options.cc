@@ -1,39 +1,86 @@
 #include "sim/options.hh"
 
-#include <cstdlib>
+#include <charconv>
+#include <cstdio>
 #include <sstream>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 
 namespace drsim {
 
+namespace {
+
+/** All of @p text as an int64: `0x` hex, or decimal with an optional
+ *  leading '-'; nullopt for anything else, overflow included. */
+std::optional<std::int64_t>
+parseInteger(const std::string &text)
+{
+    constexpr std::uint64_t kMax = std::numeric_limits<std::int64_t>::max();
+    if (text.rfind("0x", 0) == 0 || text.rfind("0X", 0) == 0) {
+        const char *begin = text.c_str() + 2;
+        const char *end = text.c_str() + text.size();
+        std::uint64_t v = 0;
+        const auto [ptr, ec] = std::from_chars(begin, end, v, 16);
+        if (ec != std::errc() || ptr == begin || ptr != end || v > kMax)
+            return std::nullopt;
+        return std::int64_t(v);
+    }
+    const bool negative = text.rfind('-', 0) == 0;
+    const std::optional<std::uint64_t> magnitude = parseDecimal(
+        text.c_str() + (negative ? 1 : 0), 0, negative ? kMax + 1 : kMax);
+    if (!magnitude.has_value())
+        return std::nullopt;
+    return negative ? std::int64_t(0 - *magnitude)
+                    : std::int64_t(*magnitude);
+}
+
+} // namespace
+
+void
+OptionParser::add(Option opt)
+{
+    if (find(opt.name) != nullptr)
+        DRSIM_PANIC("duplicate option --", opt.name);
+    options_.push_back(std::move(opt));
+}
+
 void
 OptionParser::addInt(const std::string &name, std::int64_t *value,
-                     const std::string &help)
+                     const std::string &help, std::int64_t lo,
+                     std::int64_t hi)
 {
-    if (find(name) != nullptr)
-        DRSIM_PANIC("duplicate option --", name);
-    options_.push_back({name, Kind::Int, value, help,
-                        std::to_string(*value)});
+    add({name, Kind::Int, value, help, std::to_string(*value), lo, hi});
 }
 
 void
 OptionParser::addString(const std::string &name, std::string *value,
                         const std::string &help)
 {
-    if (find(name) != nullptr)
-        DRSIM_PANIC("duplicate option --", name);
-    options_.push_back({name, Kind::String, value, help, *value});
+    add({name, Kind::String, value, help, *value});
+}
+
+void
+OptionParser::addStrings(const std::string &name,
+                         std::vector<std::string> *values,
+                         const std::string &help)
+{
+    add({name, Kind::Strings, values, help, "none"});
 }
 
 void
 OptionParser::addFlag(const std::string &name, bool *value,
                       const std::string &help)
 {
-    if (find(name) != nullptr)
-        DRSIM_PANIC("duplicate option --", name);
-    options_.push_back({name, Kind::Flag, value, help,
-                        *value ? "true" : "false"});
+    add({name, Kind::Flag, value, help, *value ? "true" : "false"});
+}
+
+void
+OptionParser::allowPositionals(std::vector<std::string> *out,
+                               const std::string &usage)
+{
+    positionals_ = out;
+    positionalUsage_ = usage;
 }
 
 const OptionParser::Option *
@@ -50,18 +97,22 @@ OptionParser::assign(const Option &opt, const std::string &value)
 {
     switch (opt.kind) {
       case Kind::Int: {
-        char *end = nullptr;
-        const long long v = std::strtoll(value.c_str(), &end, 0);
-        if (end == value.c_str() || *end != '\0') {
-            error_ = "--" + opt.name + " expects an integer, got '" +
-                     value + "'";
+        const std::optional<std::int64_t> v = parseInteger(value);
+        if (!v.has_value() || *v < opt.lo || *v > opt.hi) {
+            error_ = "--" + opt.name + " expects an integer in " +
+                     std::to_string(opt.lo) + ".." +
+                     std::to_string(opt.hi) + ", got '" + value + "'";
             return false;
         }
-        *static_cast<std::int64_t *>(opt.target) = v;
+        *static_cast<std::int64_t *>(opt.target) = *v;
         return true;
       }
       case Kind::String:
         *static_cast<std::string *>(opt.target) = value;
+        return true;
+      case Kind::Strings:
+        static_cast<std::vector<std::string> *>(opt.target)
+            ->push_back(value);
         return true;
       case Kind::Flag:
         if (value == "true" || value == "1") {
@@ -88,6 +139,10 @@ OptionParser::parse(int argc, const char *const *argv)
         if (arg == "--help" || arg == "-h") {
             helpRequested_ = true;
             return true;
+        }
+        if (positionals_ != nullptr && arg.rfind('-', 0) != 0) {
+            positionals_->push_back(arg);
+            continue;
         }
         if (arg.rfind("--", 0) != 0) {
             error_ = "unexpected argument '" + arg + "'";
@@ -124,11 +179,30 @@ OptionParser::parse(int argc, const char *const *argv)
     return true;
 }
 
+std::optional<int>
+OptionParser::parseCommandLine(int argc, const char *const *argv,
+                               const std::string &program)
+{
+    if (!parse(argc, argv)) {
+        std::fprintf(stderr, "%s: %s\n%s", program.c_str(),
+                     error_.c_str(), helpText(program).c_str());
+        return 2;
+    }
+    if (helpRequested_) {
+        std::printf("%s", helpText(program).c_str());
+        return 0;
+    }
+    return std::nullopt;
+}
+
 std::string
 OptionParser::helpText(const std::string &program) const
 {
     std::ostringstream os;
-    os << "usage: " << program << " [options]\n\noptions:\n";
+    os << "usage: " << program << " [options]";
+    if (!positionalUsage_.empty())
+        os << " " << positionalUsage_;
+    os << "\n\noptions:\n";
     for (const Option &o : options_) {
         os << "  --" << o.name;
         if (o.kind != Kind::Flag)

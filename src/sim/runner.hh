@@ -111,7 +111,7 @@ std::string resultsJson(const RunInfo &info,
 void writeResultsFile(const std::string &path, const RunInfo &info,
                       const std::vector<ExperimentResult> &results);
 
-/// @name Simulator-speed benchmark export (bench/simspeed)
+/// @name Simulator-speed benchmark export (the simspeed experiment)
 /// @{
 
 /** One workload's best-of-reps full-detail wall-clock measurement. */
@@ -151,7 +151,7 @@ struct SampledSpeedSample
  * The sampled-simulation benchmark block: full-detail versus
  * SMARTS-style sampled wall clock on the longest-running workloads
  * (the gcc1/espresso-dominated set), plus the per-workload accuracy
- * check.  Populated by bench/simspeed; "sampled" in the JSON.
+ * check.  Populated by the simspeed experiment; "sampled" in the JSON.
  */
 struct SampledSpeed
 {

@@ -158,7 +158,7 @@ class Emulator
      * the per-step CodeLoc bookkeeping, StepInfo population, and
      * double branch-direction evaluation of stepArch() — the
      * per-instruction emulation floor the sampled legs of
-     * bench/simspeed are bounded by.
+     * `drsim bench simspeed` are bounded by.
      */
     std::uint64_t fastForward(std::uint64_t n);
 

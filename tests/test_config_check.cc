@@ -95,8 +95,9 @@ TEST(ConfigCheck, ResultBusRules)
 
     // Fewer buses than half the issue width is legal but suspicious.
     cfg.resultBuses = 1; // issueWidth 4
+    const auto findings = checkCoreConfig(cfg);
     const ConfigFinding *f =
-        findRule(checkCoreConfig(cfg), "result-buses-lt-half-width");
+        findRule(findings, "result-buses-lt-half-width");
     ASSERT_NE(f, nullptr);
     EXPECT_FALSE(f->error);
 

@@ -293,7 +293,7 @@ TEST(ExpEnv, ParseRejectsWhatStrtoullAccepted)
 
 TEST(ExpEnv, ParseDecimalTakesOnlyWholeInRangeIntegers)
 {
-    // Command-line integers (drsim_bench --scale/--jobs/...): a token
+    // Command-line integers (`drsim bench --scale/--jobs/...`): a token
     // that is not all digits, or is out of range, is refused.
     for (const char *bad : {"abc", "2x", "", " 2", "2 ", "-1", "+2",
                             "0x10", "1.5", "99999999999999999999999"})

@@ -3,7 +3,7 @@
  * Tests for the strict JSON parser and the streaming Writer
  * (common/json.hh), including its string escaping.
  *
- * The parser guards the results pipeline: stall_report and the
+ * The parser guards the results pipeline: `drsim report` and the
  * exporter round-trip tests consume artifacts through it, so it has
  * to accept exactly RFC 8259 — anything looser would let an emitter
  * bug ship silently.

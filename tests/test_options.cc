@@ -1,9 +1,12 @@
 /**
  * @file
- * Unit tests for the command-line option parser behind tools/drsim.
+ * Unit tests for the command-line option parser behind every
+ * `drsim <verb>`.
  */
 
 #include <gtest/gtest.h>
+
+#include <climits>
 
 #include "sim/options.hh"
 
@@ -152,6 +155,65 @@ TEST(Options, NegativeIntegersAccepted)
     auto p = o.parser();
     EXPECT_TRUE(parse(p, {"--regs", "-1"}));
     EXPECT_EQ(o.regs, -1);
+}
+
+TEST(Options, OutOfRangeRejectedWithRange)
+{
+    // The value that once ran 96 registers after int narrowing.
+    std::int64_t regs = 128;
+    OptionParser p;
+    p.addInt("regs", &regs, "registers", 0, INT_MAX);
+    EXPECT_FALSE(parse(p, {"--regs", "4294967392"}));
+    EXPECT_NE(p.error().find("0..2147483647"), std::string::npos)
+        << p.error();
+    EXPECT_EQ(regs, 128);
+    EXPECT_FALSE(parse(p, {"--regs=-1"}));
+    EXPECT_TRUE(parse(p, {"--regs", "2147483647"}));
+    EXPECT_EQ(regs, INT_MAX);
+}
+
+TEST(Options, OverflowRejected)
+{
+    Opts o;
+    auto p = o.parser();
+    EXPECT_FALSE(parse(p, {"--regs", "99999999999999999999"}));
+    EXPECT_NE(p.error().find("integer"), std::string::npos);
+    EXPECT_FALSE(parse(p, {"--regs", "0x8000000000000000"}));
+    EXPECT_EQ(o.regs, 128);
+    EXPECT_TRUE(parse(p, {"--regs", "-9223372036854775808"}));
+    EXPECT_EQ(o.regs, INT64_MIN);
+}
+
+TEST(Options, LeadingZeroIsDecimal)
+{
+    Opts o;
+    auto p = o.parser();
+    EXPECT_TRUE(parse(p, {"--regs", "010"}));
+    EXPECT_EQ(o.regs, 10);
+}
+
+TEST(Options, PositionalsCollectedOnlyWhenAllowed)
+{
+    Opts o;
+    std::vector<std::string> names;
+    auto p = o.parser();
+    p.allowPositionals(&names, "[experiment...]");
+    EXPECT_TRUE(parse(p, {"table1", "--regs", "80", "fig7"}));
+    EXPECT_EQ(names, (std::vector<std::string>{"table1", "fig7"}));
+    EXPECT_EQ(o.regs, 80);
+    EXPECT_NE(p.helpText("drsim bench").find("[options] [experiment...]"),
+              std::string::npos);
+    // A dash-led word is still an option, not a positional.
+    EXPECT_FALSE(parse(p, {"-x"}));
+}
+
+TEST(Options, RepeatedStringOptionAppends)
+{
+    std::vector<std::string> specs;
+    OptionParser p;
+    p.addStrings("spec", &specs, "sweep spec file");
+    EXPECT_TRUE(parse(p, {"--spec", "a.json", "--spec=b.json"}));
+    EXPECT_EQ(specs, (std::vector<std::string>{"a.json", "b.json"}));
 }
 
 } // namespace

@@ -1,116 +1,54 @@
 /**
  * @file
- * drsim — the command-line front-end.  Run any workload under any
- * machine configuration of the paper (and this repository's
- * extensions) and print a full statistics report.
+ * `drsim` — the one entry point.  The first argument names a verb;
+ * the rest are that verb's options (`drsim <verb> --help`):
  *
- *   drsim --workload compress --regs 80
- *   drsim --workload classic:queens --width 8 --model imprecise
- *   drsim --workload tomcatv --trace trace.txt --max-committed 2000
- *   drsim --help
+ *   drsim run --workload compress --regs 80   # one simulation
+ *   drsim bench table1 fig7                   # paper experiments
+ *   drsim lint --bounds                       # static verifier
+ *   drsim serve --port 9196                   # sweep daemon
+ *   drsim report results.json                 # stall breakdown
+ *
+ * Exit codes, for every verb: 0 success, 1 runtime failure, 2 usage
+ * error (a missing or unknown verb included).
  */
 
-#include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <limits>
-#include <string>
+#include <string_view>
 
 #include "common/logging.hh"
-#include "core/processor.hh"
-#include "sim/options.hh"
-#include "sim/simulator.hh"
-#include "timing/regfile_timing.hh"
-#include "workloads/classic.hh"
+#include "serve/server.hh"
+#include "tools/verbs.hh"
 
 namespace {
 
-using namespace drsim;
-
-Program
-resolveWorkload(const std::string &name, int scale, std::uint64_t seed,
-                bool *fp_intensive)
+struct Verb
 {
-    *fp_intensive = false;
-    if (name.rfind("classic:", 0) == 0) {
-        const std::string sub = name.substr(8);
-        for (auto &[n, prog] : buildClassicSuite()) {
-            if (n == sub)
-                return std::move(prog);
-        }
-        fatal("unknown classic kernel '", sub,
-              "' (daxpy, sieve, queens, wordcopy, whet)");
-    }
-    Workload w = buildWorkload(name, scale, seed);
-    *fp_intensive = w.spec->fpIntensive;
-    return std::move(w.program);
-}
+    const char *name;
+    int (*main)(int argc, const char *const *argv);
+    const char *summary;
+};
 
-/** The value of --@p flag as a @p T; fatal() when it is below @p lo
- *  or does not fit @p T (no silent wrap-around). */
-template <typename T>
-T
-count(const char *flag, std::int64_t v, std::int64_t lo = 0)
-{
-    if (v < lo || std::uint64_t(v) > std::numeric_limits<T>::max()) {
-        fatal("--", flag, " must be in ", lo, "..",
-              std::uint64_t(std::numeric_limits<T>::max()), " (got ", v,
-              ")");
-    }
-    return T(v);
-}
+constexpr Verb kVerbs[] = {
+    {"run", drsim::tools::runVerb,
+     "simulate one workload under one configuration"},
+    {"bench", drsim::tools::benchVerb,
+     "run paper experiments and sweep specs by name"},
+    {"lint", drsim::tools::lintVerb,
+     "statically verify guest programs"},
+    {"serve", drsim::serve::daemonMain,
+     "run the persistent sweep daemon (docs/SERVER.md)"},
+    {"report", drsim::tools::reportVerb,
+     "render and check a results file's stall breakdown"},
+};
 
 void
-report(const Processor &proc, const CoreConfig &cfg)
+usage(std::FILE *to)
 {
-    const ProcStats &s = proc.stats();
-    std::printf("---------------- run summary ----------------\n");
-    std::printf("%-26s %s\n", "stop reason",
-                proc.stopReason() == StopReason::Halted
-                    ? "program halted"
-                    : "instruction limit");
-    std::printf("%-26s %llu\n", "cycles",
-                (unsigned long long)s.cycles);
-    std::printf("%-26s %llu\n", "committed instructions",
-                (unsigned long long)s.committed);
-    std::printf("%-26s %llu\n", "executed instructions",
-                (unsigned long long)s.executed);
-    std::printf("%-26s %.3f / %.3f\n", "issue / commit IPC",
-                s.issueIpc(), s.commitIpc());
-    std::printf("%-26s %.2f%% of %llu\n", "load miss rate",
-                100.0 * proc.loadMissRate(),
-                (unsigned long long)s.executedLoads);
-    std::printf("%-26s %llu\n", "secondary misses (merges)",
-                (unsigned long long)proc.dcache().stats().loadMerges);
-    std::printf("%-26s %.2f%% of %llu\n", "cbr mispredict rate",
-                100.0 * s.mispredictRate(),
-                (unsigned long long)s.executedCondBranches);
-    std::printf("%-26s %llu (squashed %llu)\n", "recoveries",
-                (unsigned long long)s.recoveries,
-                (unsigned long long)s.squashedInsts);
-    std::printf("%-26s %llu\n", "store->load forwards",
-                (unsigned long long)s.forwardedLoads);
-    std::printf("%-26s %.1f%%\n", "no-free-register time",
-                s.cycles ? 100.0 * double(s.noFreeRegCycles) /
-                               double(s.cycles)
-                         : 0.0);
-    for (int c = 0; c < kNumRegClasses; ++c) {
-        const char *cls = c == 0 ? "int" : "fp";
-        std::printf("%-3s live regs p50/p90/max  %llu / %llu / %llu\n",
-                    cls,
-                    (unsigned long long)s.live[c][3].percentile(0.5),
-                    (unsigned long long)s.live[c][3].percentile(0.9),
-                    (unsigned long long)s.live[c][3].maxValue());
-        std::printf("%-3s mean register lifetime %.1f cycles\n", cls,
-                    proc.rename()
-                        .lifetimeHistogram(RegClass(c))
-                        .mean());
-    }
-    const auto t = regFileTiming(
-        intRegFileGeometry(cfg.issueWidth, cfg.numPhysRegs));
-    std::printf("%-26s %.3f ns -> %.2f BIPS\n",
-                "int RF cycle time (0.5um)", t.cycleNs,
-                bipsEstimate(s.commitIpc(), t.cycleNs));
+    std::fprintf(to, "usage: drsim <verb> [options]\n\nverbs:\n");
+    for (const Verb &v : kVerbs)
+        std::fprintf(to, "  %-8s %s\n", v.name, v.summary);
+    std::fprintf(to, "\n`drsim <verb> --help` lists a verb's options.\n");
 }
 
 } // namespace
@@ -118,129 +56,26 @@ report(const Processor &proc, const CoreConfig &cfg)
 int
 main(int argc, char **argv)
 {
-    using namespace drsim;
-
-    std::string workload = "compress";
-    std::int64_t scale = 10;
-    std::int64_t seed = 0;
-    std::int64_t width = 4;
-    std::int64_t dq = -1;
-    std::int64_t regs = 128;
-    std::string model = "precise";
-    std::string cache = "lockup-free";
-    std::int64_t mshrs = 0;
-    std::int64_t wb_entries = 0;
-    std::int64_t wb_drain = 4;
-    std::int64_t max_committed = 0;
-    bool split_queues = false;
-    bool inorder_branches = false;
-    bool no_forwarding = false;
-    bool no_spec_history = false;
-    bool perfect_icache = false;
-    std::string trace_file;
-
-    OptionParser p;
-    p.addString("workload", &workload,
-                "SPEC92-like kernel name, or classic:<name>");
-    p.addInt("scale", &scale, "workload scale (~10k insts per unit)");
-    p.addInt("seed", &seed, "data seed (0 = kernel default)");
-    p.addInt("width", &width, "issue width, 4 or 8");
-    p.addInt("dq", &dq, "dispatch-queue entries (-1 = 32/64 by width)");
-    p.addInt("regs", &regs, "physical registers per file");
-    p.addString("model", &model, "exception model: precise|imprecise");
-    p.addString("cache", &cache,
-                "data cache: perfect|lockup|lockup-free");
-    p.addInt("mshrs", &mshrs, "max outstanding misses (0 = unlimited)");
-    p.addInt("wb-entries", &wb_entries,
-             "write-buffer entries (0 = unlimited)");
-    p.addInt("wb-drain", &wb_drain, "cycles per write-buffer drain");
-    p.addInt("max-committed", &max_committed,
-             "stop after N commits (0 = run to halt)");
-    p.addFlag("split-queues", &split_queues,
-              "per-class dispatch queues (R10000-style)");
-    p.addFlag("inorder-branches", &inorder_branches,
-              "execute conditional branches in program order");
-    p.addFlag("no-forwarding", &no_forwarding,
-              "disable store->load forwarding");
-    p.addFlag("no-spec-history", &no_spec_history,
-              "update predictor history at execute, not insert");
-    p.addFlag("perfect-icache", &perfect_icache,
-              "model every instruction fetch as a hit");
-    p.addString("trace", &trace_file,
-                "write a per-instruction pipeline trace to this file");
-
-    if (!p.parse(argc - 1, argv + 1)) {
-        std::fprintf(stderr, "drsim: %s\n%s", p.error().c_str(),
-                     p.helpText("drsim").c_str());
-        return 1;
+    if (argc < 2) {
+        usage(stderr);
+        return 2;
     }
-    if (p.helpRequested()) {
-        std::printf("%s", p.helpText("drsim").c_str());
+    const std::string_view name = argv[1];
+    if (name == "--help" || name == "-h") {
+        usage(stdout);
         return 0;
     }
-
-    try {
-        CoreConfig cfg;
-        cfg.issueWidth = int(width);
-        cfg.dqSize = dq < 0 ? (width == 4 ? 32 : 64) : int(dq);
-        cfg.numPhysRegs = int(regs);
-        if (model == "precise") {
-            cfg.exceptionModel = ExceptionModel::Precise;
-        } else if (model == "imprecise") {
-            cfg.exceptionModel = ExceptionModel::Imprecise;
-        } else {
-            fatal("unknown exception model '", model, "'");
+    for (const Verb &v : kVerbs) {
+        if (name != v.name)
+            continue;
+        try {
+            return v.main(argc - 2, argv + 2);
+        } catch (const drsim::FatalError &e) {
+            std::fprintf(stderr, "drsim %s: %s\n", v.name, e.what());
+            return 1;
         }
-        if (cache == "perfect") {
-            cfg.cacheKind = CacheKind::Perfect;
-        } else if (cache == "lockup") {
-            cfg.cacheKind = CacheKind::Lockup;
-        } else if (cache == "lockup-free") {
-            cfg.cacheKind = CacheKind::LockupFree;
-        } else {
-            fatal("unknown cache kind '", cache, "'");
-        }
-        cfg.dcache.maxOutstandingMisses =
-            count<std::uint32_t>("mshrs", mshrs);
-        cfg.dcache.writeBufferEntries =
-            count<std::uint32_t>("wb-entries", wb_entries);
-        cfg.dcache.writeBufferDrainCycles =
-            count<Cycle>("wb-drain", wb_drain);
-        cfg.maxCommitted = count<std::uint64_t>("max-committed",
-                                                max_committed);
-        cfg.splitDispatchQueues = split_queues;
-        cfg.inOrderBranches = inorder_branches;
-        cfg.storeToLoadForwarding = !no_forwarding;
-        cfg.speculativeHistoryUpdate = !no_spec_history;
-        cfg.perfectICache = perfect_icache;
-
-        bool fp_intensive = false;
-        const Program prog =
-            resolveWorkload(workload, count<int>("scale", scale, 1),
-                            std::uint64_t(seed), &fp_intensive);
-        std::printf("drsim: %s (%zu static insts), %lld-way, DQ=%d, "
-                    "%lld regs, %s, %s cache\n",
-                    workload.c_str(), prog.numInsts(),
-                    (long long)width, cfg.dqSize, (long long)regs,
-                    model.c_str(), cache.c_str());
-
-        verifyProgram(prog);
-        Processor proc(cfg, prog);
-        std::ofstream trace_os;
-        if (!trace_file.empty()) {
-            trace_os.open(trace_file);
-            if (!trace_os)
-                fatal("cannot open trace file '", trace_file, "'");
-            proc.setTrace(&trace_os);
-        }
-        proc.run();
-        report(proc, cfg);
-        if (!trace_file.empty())
-            std::printf("pipeline trace written to %s\n",
-                        trace_file.c_str());
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "drsim: %s\n", e.what());
-        return 1;
     }
-    return 0;
+    std::fprintf(stderr, "drsim: unknown verb '%s'\n", argv[1]);
+    usage(stderr);
+    return 2;
 }
