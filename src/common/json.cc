@@ -15,7 +15,8 @@ namespace {
 std::uint64_t
 toU64(double v)
 {
-    if (v < 0.0 || v != std::floor(v) || v > 1.8446744073709552e19)
+    // 0x1p64 is 2^64 itself: the first double the cast cannot hold.
+    if (v < 0.0 || v != std::floor(v) || v >= 0x1p64)
         fatal("JSON number ", v, " is not an unsigned integer");
     return static_cast<std::uint64_t>(v);
 }

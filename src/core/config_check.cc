@@ -105,7 +105,7 @@ checkCoreConfig(const CoreConfig &cfg)
                 str("sampling warmup (", sc.warmup,
                     ") must be shorter than the interval (",
                     sc.interval, ")"));
-        } else if (sc.interval <= sc.warmup + sc.window) {
+        } else if (sc.window >= sc.interval - sc.warmup) {
             add(out, "sampling-no-fast-forward", true,
                 str("sampling interval (", sc.interval,
                     ") must exceed warmup + window (", sc.warmup,

@@ -31,7 +31,10 @@ CoreConfig::validate() const
     if (sampling.enabled()) {
         if (sampling.window == 0)
             fatal("sampling needs a nonzero measured window");
-        if (sampling.interval <= sampling.warmup + sampling.window) {
+        // warmup + window may wrap: compare with what the interval
+        // leaves.
+        if (sampling.warmup >= sampling.interval ||
+            sampling.window >= sampling.interval - sampling.warmup) {
             fatal("sampling interval (", sampling.interval,
                   ") must exceed warmup + window (", sampling.warmup,
                   " + ", sampling.window,

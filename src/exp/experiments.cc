@@ -103,6 +103,7 @@ table1Print(const RunContext &ctx,
         "3%%/6%% | mdljsp2 2.97/2.69 1%%/6%% | ora 1.86/1.86 "
         "0%%/6%%\n  su2cor 3.38/3.22 17%%/7%% | tomcatv 2.77/2.77 "
         "33%%/1%%\n");
+    printStallSummary(results);
 }
 
 // ------------------------------------------------------------------ fig3
@@ -307,6 +308,7 @@ fig6Print(const RunContext &,
                 "from ~2 to ~3.4-3.8 saturating near 128; imprecise "
                 ">= precise throughout, converging\nat large sizes; "
                 "no-free-register time falls from >50%% toward 0.\n");
+    printStallSummary(results);
 }
 
 // ------------------------------------------------------------------ fig7
@@ -351,6 +353,7 @@ fig7Print(const RunContext &,
     std::printf("\npaper reference: lockup-free ~= perfect >> lockup "
                 "at every size; e.g. the 8-way\nimprecise curves "
                 "saturate at ~96 registers for every memory model.\n");
+    printStallSummary(results);
 }
 
 // ------------------------------------------------------------------ fig8
@@ -402,6 +405,7 @@ fig8Print(const RunContext &,
                 "rightmost (more registers, wider spread);\nthe "
                 "lockup curve concentrates between ~55 and ~75 "
                 "registers; perfect needs the fewest.\n");
+    printStallSummary(results);
 }
 
 // ----------------------------------------------------------------- fig10
@@ -529,6 +533,7 @@ ablationsPrint(const RunContext &,
     }
     std::printf("expected: imprecise lifetimes shorter everywhere "
                 "(paper Section 3.2).\n");
+    printStallSummary(results);
 }
 
 // ------------------------------------------------------------ ext_classic
@@ -848,6 +853,7 @@ extBoundsPrint(const RunContext &ctx,
                 "IPC respects its bound, and the\nregister knee lands near the paper's \"~80-96 "
                 "registers suffice\" conclusion —\nthe static "
                 "estimate brackets it from below.\n");
+    printStallSummary(results);
 }
 
 // --------------------------------------------------------- ext_predictors
@@ -934,6 +940,7 @@ extPredictorsPrint(const RunContext &,
                 "while a 2-bus writeback constraint adds result_bus "
                 "stalls\nand lowers the IPC ceiling, pulling the "
                 "2%%-of-max knee one sweep step left.\n");
+    printStallSummary(results);
 }
 
 // ------------------------------------------------------ ext_critical_paths
@@ -1071,19 +1078,19 @@ makeExperimentDefs()
          "apparatus",
          extPredictorsGrids, nullptr, extPredictorsPrint, true,
          nullptr},
-        {"ext_critical_paths", nullptr,
+        {"ext_critical_paths", "",
          "dispatch-queue/rename/register-file cycle-time scaling "
          "check",
          nullptr, nullptr, nullptr, false, runCriticalPaths},
-        {"simspeed", nullptr,
+        {"simspeed", "",
          "tracked simulator-speed benchmark (full detail vs "
          "sampled)",
          nullptr, nullptr, nullptr, false, runSimspeed},
-        {"sampling_validate", nullptr,
+        {"sampling_validate", "",
          "sampled-mode accuracy check: 95% CI vs full-detail IPC "
          "on every workload",
          nullptr, nullptr, nullptr, false, runSamplingValidate},
-        {"micro", nullptr,
+        {"micro", "",
          "google-benchmark microbenchmarks of simulator components",
          nullptr, nullptr, nullptr, false, microStub},
     };

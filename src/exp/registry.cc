@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 
 #include "common/env.hh"
 #include "common/logging.hh"
@@ -46,13 +47,14 @@ parseSamplingSpec(const std::string &text)
         const std::string part = text.substr(
             pos, colon == std::string::npos ? std::string::npos
                                             : colon - pos);
-        if (part.empty() ||
-            part.find_first_not_of("0123456789") != std::string::npos) {
+        const std::optional<std::uint64_t> field = parseDecimal(
+            part.c_str(), 0, std::numeric_limits<std::uint64_t>::max());
+        if (!field.has_value()) {
             fatal("bad sampling spec '", text,
                   "': expected INTERVAL[:WINDOW[:WARMUP[:WARMFF]]] "
                   "with decimal instruction counts");
         }
-        fields[nfields++] = std::strtoull(part.c_str(), nullptr, 10);
+        fields[nfields++] = *field;
         trailing = colon != std::string::npos;
         if (!trailing)
             break;
@@ -72,7 +74,9 @@ parseSamplingSpec(const std::string &text)
     sc.warmff = nfields >= 4 ? fields[3] : 0;
     if (sc.window == 0)
         fatal("bad sampling spec '", text, "': window must be > 0");
-    if (sc.interval <= sc.warmup + sc.window) {
+    // warmup + window may wrap: compare with what the interval leaves.
+    if (sc.warmup >= sc.interval ||
+        sc.window >= sc.interval - sc.warmup) {
         fatal("bad sampling spec '", text, "': interval (",
               sc.interval, ") must exceed warmup + window (",
               sc.warmup, " + ", sc.window, ")");
@@ -85,8 +89,14 @@ namespace {
 std::vector<ExperimentDef> &
 mutableRegistry()
 {
-    static std::vector<ExperimentDef> defs =
-        detail::makeExperimentDefs();
+    static std::vector<ExperimentDef> defs = [] {
+        std::vector<ExperimentDef> table = detail::makeExperimentDefs();
+        for (ExperimentDef &def : table) {
+            if (def.suite)
+                def.suiteName = "experiment:" + def.name;
+        }
+        return table;
+    }();
     return defs;
 }
 
@@ -114,7 +124,7 @@ setExternalRunner(const std::string &name,
 {
     for (ExperimentDef &def : mutableRegistry()) {
         if (name == def.name) {
-            if (def.run == nullptr) {
+            if (!def.run) {
                 fatal("experiment '", name,
                       "' is grid-driven; it cannot take an external "
                       "runner");
@@ -129,7 +139,7 @@ setExternalRunner(const std::string &name,
 std::vector<ExperimentSpec>
 expandExperiment(const ExperimentDef &def, const RunContext &ctx)
 {
-    if (def.grids == nullptr) {
+    if (!def.grids) {
         fatal("experiment '", def.name,
               "' is a custom harness; it has no declarative grid");
     }
@@ -146,8 +156,7 @@ expandExperiment(const ExperimentDef &def, const RunContext &ctx)
         // Screen each point before anything simulates: an infeasible
         // config should reject the sweep at expansion time, not
         // fatal() mid-run.
-        requireFeasibleConfig(spec.config,
-                              std::string(def.name) + "/" + spec.name);
+        requireFeasibleConfig(spec.config, def.name + "/" + spec.name);
     }
     return specs;
 }
@@ -155,15 +164,14 @@ expandExperiment(const ExperimentDef &def, const RunContext &ctx)
 std::vector<Workload>
 buildSuite(const ExperimentDef &def, const RunContext &ctx)
 {
-    return def.suite != nullptr ? def.suite(ctx)
-                                : buildSpec92Suite(ctx.scale);
+    return def.suite ? def.suite(ctx) : buildSpec92Suite(ctx.scale);
 }
 
 int
 runExperiment(const ExperimentDef &def, const RunContext &ctx,
-              const std::string &filter)
+              const std::string &filter, const PointRunner &compute)
 {
-    if (def.run != nullptr) {
+    if (def.run) {
         if (!filter.empty()) {
             warn("--filter has no effect on custom experiment '",
                  def.name, "'");
@@ -171,22 +179,19 @@ runExperiment(const ExperimentDef &def, const RunContext &ctx,
         return def.run(ctx);
     }
 
-    banner(def.title);
+    banner(def.title.c_str());
     std::vector<ExperimentSpec> specs = expandExperiment(def, ctx);
     const std::size_t full = specs.size();
     if (!filter.empty()) {
-        std::vector<ExperimentSpec> kept;
-        for (ExperimentSpec &spec : specs) {
-            if (spec.name.find(filter) != std::string::npos)
-                kept.push_back(std::move(spec));
-        }
-        if (kept.empty()) {
+        std::erase_if(specs, [&filter](const ExperimentSpec &spec) {
+            return spec.name.find(filter) == std::string::npos;
+        });
+        if (specs.empty()) {
             std::fprintf(stderr,
                          "%s: no spec name contains --filter '%s'\n",
-                         def.name, filter.c_str());
+                         def.name.c_str(), filter.c_str());
             return 1;
         }
-        specs = std::move(kept);
         std::printf("\nrunning %zu of %zu specs matching --filter "
                     "'%s'\n",
                     specs.size(), full, filter.c_str());
@@ -194,7 +199,8 @@ runExperiment(const ExperimentDef &def, const RunContext &ctx,
 
     const std::vector<Workload> suite = buildSuite(def, ctx);
     const std::vector<ExperimentResult> results =
-        runExperiments(specs, suite, ctx.jobs);
+        compute ? compute(specs, suite)
+                : runExperiments(specs, suite, ctx.jobs);
 
     if (!filter.empty()) {
         // The curated printers index the full grid positionally, so a
@@ -205,10 +211,8 @@ runExperiment(const ExperimentDef &def, const RunContext &ctx,
         return 0;
     }
     def.print(ctx, results);
-    if (def.exportResults) {
-        printStallSummary(results);
-        emitResults(def.name, ctx, results);
-    }
+    if (def.exportResults)
+        emitResults(def.name.c_str(), ctx, results);
     return 0;
 }
 

@@ -4,28 +4,32 @@
  * ablation, and extension study described as data (a name, a banner,
  * declarative grids, a suite builder, and a print/export policy) and
  * runnable by name — from the single `drsim bench` driver or from
- * tests.
+ * tests.  An ExperimentDef is a plain value: the registry's are built
+ * once from a table, and a sweep-spec file (spec_file.hh) becomes one
+ * at run time.
  *
  * Two shapes of experiment coexist:
  *
  *  - *Grid* experiments (the common case): grids() expands to the
  *    exact ExperimentSpec vector the legacy harness built by hand,
- *    runExperiments() fans the (spec, workload) points over the
- *    worker pool, print() renders the harness's stdout tables, and —
- *    for the exporting experiments — the stall summary and the
- *    `<name>_results.json` artifact (docs/RESULTS_SCHEMA.md) are
- *    emitted exactly as before, byte for byte.
+ *    the (spec, workload) points are computed — on the local worker
+ *    pool, or by a `drsim serve` daemon — print() renders the stdout
+ *    tables, and the exporting experiments write the
+ *    `<name>_results.json` artifact (docs/RESULTS_SCHEMA.md).  One
+ *    driver, runExperiment(), does all of this for every grid
+ *    experiment; only the point computation varies.
  *
  *  - *Custom* experiments (simspeed's wall-clock timing loops,
  *    ext_critical_paths' pure timing-model printout, micro's
  *    google-benchmark suite): run() is an opaque harness body.  They
  *    still register, list, and run by name; they just have no grid to
- *    expand, so --dry-run and --filter do not apply to them.
+ *    expand, so --dry-run, --filter and --server do not apply to them.
  */
 
 #ifndef DRSIM_EXP_REGISTRY_HH
 #define DRSIM_EXP_REGISTRY_HH
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -82,26 +86,33 @@ SamplingConfig parseSamplingSpec(const std::string &text);
 struct ExperimentDef
 {
     /** Registry key and artifact id. */
-    const char *name;
+    std::string name;
     /** Banner line printed before a grid experiment runs. */
-    const char *title;
+    std::string title;
     /** One-line summary for `drsim bench --list`. */
-    const char *description;
+    std::string description;
 
-    /** Declarative sweep; null for custom experiments. */
-    std::vector<GridDef> (*grids)();
-    /** Workload suite; null = the SPEC92-like nine at ctx.scale. */
-    std::vector<Workload> (*suite)(const RunContext &ctx);
-    /** Render the harness's stdout tables (grid experiments). */
-    void (*print)(const RunContext &ctx,
-                  const std::vector<ExperimentResult> &results);
-    /** Emit the stall summary and `<name>_results.json` after
-     *  print() (the five paper-artifact experiments). */
-    bool exportResults;
+    /** Declarative sweep; empty for custom experiments. */
+    std::function<std::vector<GridDef>()> grids;
+    /** Workload suite; empty = the SPEC92-like nine at ctx.scale. */
+    std::function<std::vector<Workload>(const RunContext &ctx)> suite;
+    /** Render the stdout tables of a full run (grid experiments). */
+    std::function<void(const RunContext &ctx,
+                       const std::vector<ExperimentResult> &results)>
+        print;
+    /** Write `<name>_results.json` after print() (the paper-artifact
+     *  experiments and spec files that ask for it). */
+    bool exportResults = false;
 
-    /** Custom harness body; non-null makes this a custom experiment
+    /** Custom harness body; non-empty makes this a custom experiment
      *  (grids/suite/print/exportResults are ignored). */
-    int (*run)(const RunContext &ctx);
+    std::function<int(const RunContext &ctx)> run;
+
+    /** The suite's name in the daemon's suite memo key
+     *  (docs/SERVER.md "Suite memo"): "spec92" for the default suite,
+     *  "classic", or "experiment:<name>" for a registered
+     *  experiment's own suite builder. */
+    std::string suiteName = "spec92";
 };
 
 /** All registered experiments, in documentation order. */
@@ -118,8 +129,10 @@ const ExperimentDef *findExperiment(const std::string &name);
 void setExternalRunner(const std::string &name,
                        int (*run)(const RunContext &ctx));
 
-/** Grid expansion with ctx applied (the per-run commit cap); fatal()
- *  for custom experiments. */
+/** Grid expansion with ctx's run options applied (commit cap,
+ *  sampling, predictor and result-bus overrides) and every point
+ *  screened by requireFeasibleConfig() — the one place either
+ *  happens.  fatal() for custom experiments or an infeasible point. */
 std::vector<ExperimentSpec>
 expandExperiment(const ExperimentDef &def, const RunContext &ctx);
 
@@ -127,16 +140,24 @@ expandExperiment(const ExperimentDef &def, const RunContext &ctx);
 std::vector<Workload> buildSuite(const ExperimentDef &def,
                                  const RunContext &ctx);
 
+/** How a grid's points get computed: every spec on every workload,
+ *  in the order runExperiments() returns them. */
+using PointRunner = std::function<std::vector<ExperimentResult>(
+    const std::vector<ExperimentSpec> &specs,
+    const std::vector<Workload> &suite)>;
+
 /**
- * The full driver path: banner, suite build, grid expansion,
- * runExperiments(), print, and (for exporters) the stall summary +
- * JSON artifact.  @p filter, when non-empty, restricts the run to
- * specs whose name contains it; filtered runs use a generic summary
- * table instead of the curated printer and never export.
- * Returns a process exit code.
+ * The one driver for every experiment: banner, grid expansion,
+ * filtering, suite build, @p compute (empty = runExperiments() on
+ * ctx.jobs workers), print, and (for exporters) the JSON artifact.
+ * @p filter, when non-empty, restricts the run to specs whose name
+ * contains it; filtered runs print the generic and stall summaries
+ * instead of the curated printer and never export.  Custom
+ * experiments just run their body.  Returns a process exit code.
  */
 int runExperiment(const ExperimentDef &def, const RunContext &ctx,
-                  const std::string &filter = "");
+                  const std::string &filter = "",
+                  const PointRunner &compute = {});
 
 /// @name Shared harness helpers (formerly bench/bench_util.hh)
 /// @{

@@ -6,7 +6,6 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "core/config_check.hh"
 #include "exp/registry.hh"
 
 namespace drsim {
@@ -199,52 +198,29 @@ toGrid(const SweepSpec &spec)
     return grid;
 }
 
-int
-runSweepSpec(const SweepSpec &spec, const RunContext &ctx,
-             const std::string &filter)
+ExperimentDef
+specExperiment(const SweepSpec &spec)
 {
-    banner(("sweep spec: " + spec.name).c_str());
-    if (!spec.description.empty())
-        std::printf("%s\n", spec.description.c_str());
-
-    std::vector<ExperimentSpec> specs = expandGrid(toGrid(spec));
-    for (ExperimentSpec &s : specs) {
-        s.config.maxCommitted = ctx.maxCommitted;
-        if (!ctx.predictor.empty())
-            s.config.predictor = ctx.predictor;
-        if (ctx.resultBuses >= 0)
-            s.config.resultBuses = ctx.resultBuses;
-        requireFeasibleConfig(s.config, spec.name + "/" + s.name);
-    }
-    const std::size_t full = specs.size();
-    if (!filter.empty()) {
-        std::vector<ExperimentSpec> kept;
-        for (ExperimentSpec &s : specs) {
-            if (s.name.find(filter) != std::string::npos)
-                kept.push_back(std::move(s));
-        }
-        if (kept.empty()) {
-            std::fprintf(stderr,
-                         "%s: no spec name contains --filter '%s'\n",
-                         spec.name.c_str(), filter.c_str());
-            return 1;
-        }
-        specs = std::move(kept);
-        std::printf("\nrunning %zu of %zu specs matching --filter "
-                    "'%s'\n",
-                    specs.size(), full, filter.c_str());
-    }
-
-    const std::vector<Workload> suite =
-        spec.suite == "classic" ? classicWorkloads()
-                                : buildSpec92Suite(ctx.scale);
-    const std::vector<ExperimentResult> results =
-        runExperiments(specs, suite, ctx.jobs);
-    printGenericSummary(results);
-    printStallSummary(results);
-    if (spec.exportResults && filter.empty())
-        emitResults(spec.name.c_str(), ctx, results);
-    return 0;
+    ExperimentDef def;
+    def.name = spec.name;
+    def.title = "sweep spec: " + spec.name;
+    def.description = spec.description;
+    def.grids = [grid = toGrid(spec)] {
+        return std::vector<GridDef>{grid};
+    };
+    if (spec.suite == "classic")
+        def.suite = [](const RunContext &) { return classicWorkloads(); };
+    def.suiteName = spec.suite;
+    def.print = [description = spec.description](
+                    const RunContext &,
+                    const std::vector<ExperimentResult> &results) {
+        if (!description.empty())
+            std::printf("%s\n", description.c_str());
+        printGenericSummary(results);
+        printStallSummary(results);
+    };
+    def.exportResults = spec.exportResults;
+    return def;
 }
 
 } // namespace exp

@@ -6,7 +6,9 @@
  * width, dispatch-queue size, register count, exception model, cache
  * kind, MSHR bound, write-buffer geometry), expanded by the same
  * grid machinery, so names and orderings follow the registry's
- * conventions.
+ * conventions.  A parsed spec becomes an ExperimentDef
+ * (specExperiment), so it runs, dry-runs, filters, takes the run
+ * options and is served exactly as a registered experiment is.
  *
  * Document shape (all axis arrays optional; absent = keep the paper
  * baseline for that knob):
@@ -80,13 +82,14 @@ std::string sweepSpecJson(const SweepSpec &spec);
 GridDef toGrid(const SweepSpec &spec);
 
 /**
- * Run a parsed sweep spec end to end: expand, simulate over the
- * declared suite, print the generic per-spec summary and stall
- * breakdown, and (when the spec asks and no filter is active) export
- * `<name>_results.json`.  Returns a process exit code.
+ * The run-time experiment a parsed spec describes, for the one
+ * driver (runExperiment) and the daemon alike: banner "sweep spec:
+ * <name>", the grid from toGrid() (lowered now, so a bad axis fails
+ * here), the spec's suite, a printer that writes the description
+ * line, the generic summary and the stall breakdown, and the spec's
+ * export flag.  fatal() on an unknown axis key or value.
  */
-int runSweepSpec(const SweepSpec &spec, const RunContext &ctx,
-                 const std::string &filter = "");
+ExperimentDef specExperiment(const SweepSpec &spec);
 
 } // namespace exp
 } // namespace drsim

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <unordered_map>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "serve/result_io.hh"
 #include "sim/runner.hh"
@@ -27,13 +28,11 @@ splitHostPort(const std::string &hostPort, std::string &host,
     if (colon == std::string::npos || colon + 1 == hostPort.size())
         fatal("--server expects HOST:PORT, got '", hostPort, "'");
     host = hostPort.substr(0, colon);
-    try {
-        port = std::stoi(hostPort.substr(colon + 1));
-    } catch (const std::exception &) {
-        port = 0;
-    }
-    if (port < 1 || port > 65535)
+    const std::optional<std::uint64_t> parsed =
+        parseDecimal(hostPort.c_str() + colon + 1, 1, 65535);
+    if (!parsed.has_value())
         fatal("--server: bad port in '", hostPort, "'");
+    port = int(*parsed);
 }
 
 } // namespace
@@ -228,11 +227,19 @@ runViaServer(const std::string &hostPort, const std::string &request,
     return results;
 }
 
-/** Close a run request @p w by appending the run options of @p ctx;
- *  the server applies them exactly as `drsim bench` would locally. */
-std::string
-finishRunRequest(json::Writer &w, const exp::RunContext &ctx)
+} // namespace
+
+exp::PointRunner
+servedPoints(const std::string &hostPort, const exp::RunContext &ctx,
+             const exp::ExperimentDef &def, const exp::SweepSpec *spec)
 {
+    json::Writer w;
+    w.beginObject();
+    w.key("verb").value("run");
+    if (spec != nullptr)
+        exp::writeSweepSpec(w.key("spec"), *spec);
+    else
+        w.key("experiment").value(def.name);
     w.key("scale").value(ctx.scale);
     w.key("max_committed").value(ctx.maxCommitted);
     if (ctx.sampling.enabled()) {
@@ -244,81 +251,11 @@ finishRunRequest(json::Writer &w, const exp::RunContext &ctx)
         w.key("predictor").value(ctx.predictor);
     if (ctx.resultBuses >= 0)
         w.key("result_buses").value(ctx.resultBuses);
-    return w.endObject().str();
-}
-
-} // namespace
-
-int
-runExperimentViaServer(const exp::ExperimentDef &def,
-                       const exp::RunContext &ctx,
-                       const std::string &hostPort)
-{
-    if (def.run != nullptr) {
-        std::fprintf(stderr,
-                     "%s: custom experiments cannot run via "
-                     "--server (no grid to serve)\n",
-                     def.name);
-        return 2;
-    }
-    const std::vector<ExperimentSpec> specs =
-        exp::expandExperiment(def, ctx);
-    const std::vector<Workload> suite = exp::buildSuite(def, ctx);
-
-    json::Writer w;
-    w.beginObject();
-    w.key("verb").value("run");
-    w.key("experiment").value(def.name);
-    const std::string request = finishRunRequest(w, ctx);
-    const std::vector<ExperimentResult> results =
-        runViaServer(hostPort, request, specs, suite);
-
-    exp::banner(def.title);
-    def.print(ctx, results);
-    if (def.exportResults) {
-        exp::printStallSummary(results);
-        exp::emitResults(def.name, ctx, results);
-    }
-    return 0;
-}
-
-int
-runSweepSpecViaServer(const exp::SweepSpec &spec,
-                      const exp::RunContext &ctx,
-                      const std::string &hostPort)
-{
-    std::vector<ExperimentSpec> specs =
-        exp::expandGrid(exp::toGrid(spec));
-    for (ExperimentSpec &s : specs) {
-        s.config.maxCommitted = ctx.maxCommitted;
-        s.config.sampling = ctx.sampling;
-        // Mirror the server's overrides so the reassembled
-        // ExperimentResult configs match what actually ran.
-        if (!ctx.predictor.empty())
-            s.config.predictor = ctx.predictor;
-        if (ctx.resultBuses >= 0)
-            s.config.resultBuses = ctx.resultBuses;
-    }
-    const std::vector<Workload> suite =
-        spec.suite == "classic" ? exp::classicWorkloads()
-                                : buildSpec92Suite(ctx.scale);
-
-    json::Writer w;
-    w.beginObject();
-    w.key("verb").value("run");
-    exp::writeSweepSpec(w.key("spec"), spec);
-    const std::string request = finishRunRequest(w, ctx);
-    const std::vector<ExperimentResult> results =
-        runViaServer(hostPort, request, specs, suite);
-
-    exp::banner(("sweep spec: " + spec.name).c_str());
-    if (!spec.description.empty())
-        std::printf("%s\n", spec.description.c_str());
-    exp::printGenericSummary(results);
-    exp::printStallSummary(results);
-    if (spec.exportResults)
-        exp::emitResults(spec.name.c_str(), ctx, results);
-    return 0;
+    return [hostPort, request = w.endObject().str()](
+               const std::vector<ExperimentSpec> &specs,
+               const std::vector<Workload> &suite) {
+        return runViaServer(hostPort, request, specs, suite);
+    };
 }
 
 int

@@ -6,11 +6,12 @@
  * The design constraint is byte-identity: a sweep served from the
  * daemon must produce the same stdout tables and the same schema-v2
  * artifact as a direct local run.  The client therefore does *not*
- * print anything the server sends; it expands the experiment grid and
- * workload order locally (same code, same binary), reassembles the
- * streamed point records into the exact ExperimentResult vector a
- * local run would have built, and feeds it through the same print()
- * hooks and the same emitResults() path.  Everything the server adds
+ * print anything the server sends.  A served run goes through the
+ * same driver as a local one (exp::runExperiment: banner, expansion,
+ * suite build, print, export); only the point computation differs.
+ * servedPoints() supplies it: it streams the daemon's point records
+ * and reassembles them into the exact ExperimentResult vector a local
+ * runExperiments() call would have built.  Everything the server adds
  * (cache provenance, progress) goes to stderr.
  */
 
@@ -58,19 +59,17 @@ class ServeClient
 };
 
 /**
- * Run a registered grid experiment through the daemon, reproducing
- * the local runExperiment() stdout and artifacts exactly.  Returns a
- * process exit code (2 for custom experiments, which cannot be
- * served).
+ * The point computation of a served run, for exp::runExperiment():
+ * one run request to the daemon at @p hostPort carrying ctx's run
+ * options and naming the registered experiment def.name — or, when
+ * @p spec is non-null (def was built from it), the inline sweep spec.
+ * fatal() on a server error or a reply that does not match the
+ * locally expanded points.
  */
-int runExperimentViaServer(const exp::ExperimentDef &def,
-                           const exp::RunContext &ctx,
-                           const std::string &hostPort);
-
-/** Sweep-spec counterpart, mirroring runSweepSpec(). */
-int runSweepSpecViaServer(const exp::SweepSpec &spec,
-                          const exp::RunContext &ctx,
-                          const std::string &hostPort);
+exp::PointRunner servedPoints(const std::string &hostPort,
+                              const exp::RunContext &ctx,
+                              const exp::ExperimentDef &def,
+                              const exp::SweepSpec *spec = nullptr);
 
 /** Print the daemon's stats reply (raw JSON line) to stdout. */
 int printServerStats(const std::string &hostPort);

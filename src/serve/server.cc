@@ -22,7 +22,6 @@
 #include "bpred/predictor.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "core/config_check.hh"
 #include "exp/registry.hh"
 #include "exp/spec_file.hh"
 #include "serve/result_io.hh"
@@ -421,13 +420,14 @@ Server::handleStats(int fd)
 }
 
 std::shared_ptr<const std::vector<Workload>>
-Server::suiteFor(const std::string &source, int scale,
-                 const std::function<std::vector<Workload>()> &build)
+Server::suiteFor(const exp::ExperimentDef &def, const exp::RunContext &ctx)
 {
-    const std::string key = source + " scale=" + std::to_string(scale) +
-                            " seed=" + std::to_string(kServedSeed);
-    return suites_.get(key, [&build] {
-        return std::make_shared<const std::vector<Workload>>(build());
+    const std::string key = def.suiteName + " scale=" +
+                            std::to_string(ctx.scale) + " seed=" +
+                            std::to_string(kServedSeed);
+    return suites_.get(key, [&] {
+        return std::make_shared<const std::vector<Workload>>(
+            exp::buildSuite(def, ctx));
     });
 }
 
@@ -502,7 +502,8 @@ Server::handleRun(int fd, std::uint64_t connId,
         if (const json::Value *w = v->find("warmff"))
             sc.warmff = w->asU64();
         if (sc.interval == 0 || sc.window == 0 ||
-            sc.interval <= sc.warmup + sc.window) {
+            sc.warmup >= sc.interval ||
+            sc.window >= sc.interval - sc.warmup) {
             sendError(fd, id, "bad-request",
                       "infeasible sampling parameters: interval must "
                       "exceed warmup + window (all nonzero)");
@@ -545,83 +546,55 @@ Server::handleRun(int fd, std::uint64_t connId,
         return;
     }
 
-    std::string runName;
-    std::vector<ExperimentSpec> specs;
-    std::shared_ptr<const std::vector<Workload>> suite;
+    exp::ExperimentDef def;
     if (expName != nullptr) {
-        const exp::ExperimentDef *def =
+        const exp::ExperimentDef *found =
             exp::findExperiment(expName->asString());
-        if (def == nullptr) {
+        if (found == nullptr) {
             sendError(fd, id, "unknown-experiment",
                       "unknown experiment '" + expName->asString() +
                           "'");
             return;
         }
-        if (def->run != nullptr) {
+        if (found->run) {
             sendError(fd, id, "custom-experiment",
                       "experiment '" + expName->asString() +
                           "' is a custom harness; only grid "
                           "experiments can be served");
             return;
         }
-        runName = def->name;
-        try {
-            // expandExperiment screens every point through
-            // requireFeasibleConfig; a request-level sampling or
-            // budget override can make a stock grid infeasible.
-            specs = exp::expandExperiment(*def, ctx);
-        } catch (const FatalError &e) {
-            sendError(fd, id, "infeasible-config", e.what());
-            return;
-        }
-        // Experiments without their own suite builder serve the
-        // SPEC92-like nine, the same suite a spec request names.
-        suite = suiteFor(def->suite != nullptr
-                             ? std::string("experiment:") + def->name
-                             : std::string("spec92"),
-                         ctx.scale,
-                         [&] { return exp::buildSuite(*def, ctx); });
+        def = *found;
     } else {
         if (!specDoc->isObject()) {
             sendError(fd, id, "bad-spec",
                       "\"spec\" must be a sweep-spec object");
             return;
         }
-        exp::SweepSpec spec;
         try {
-            spec = exp::parseSweepSpec(json::serialize(*specDoc));
-            specs = exp::expandGrid(exp::toGrid(spec));
+            def = exp::specExperiment(
+                exp::parseSweepSpec(json::serialize(*specDoc)));
         } catch (const FatalError &e) {
             sendError(fd, id, "bad-spec", e.what());
             return;
         }
-        runName = spec.name;
-        try {
-            for (ExperimentSpec &s : specs) {
-                s.config.maxCommitted = ctx.maxCommitted;
-                s.config.sampling = ctx.sampling;
-                if (!ctx.predictor.empty())
-                    s.config.predictor = ctx.predictor;
-                if (ctx.resultBuses >= 0)
-                    s.config.resultBuses = ctx.resultBuses;
-                requireFeasibleConfig(s.config,
-                                      spec.name + "/" + s.name);
-            }
-        } catch (const FatalError &e) {
-            sendError(fd, id, "infeasible-config", e.what());
-            return;
-        }
-        suite = suiteFor(spec.suite, ctx.scale, [&] {
-            return spec.suite == "classic"
-                       ? exp::classicWorkloads()
-                       : buildSpec92Suite(ctx.scale, kServedSeed);
-        });
     }
+    std::vector<ExperimentSpec> specs;
+    try {
+        // expandExperiment screens every point through
+        // requireFeasibleConfig; a request-level sampling or budget
+        // override can make a stock grid infeasible.
+        specs = exp::expandExperiment(def, ctx);
+    } catch (const FatalError &e) {
+        sendError(fd, id, "infeasible-config", e.what());
+        return;
+    }
+    const std::shared_ptr<const std::vector<Workload>> suite =
+        suiteFor(def, ctx);
 
     const std::size_t numSpecs = specs.size();
     const std::size_t numWl = suite->size();
     const std::size_t numPoints = numSpecs * numWl;
-    logLine(connId, "run " + runName + " scale=" +
+    logLine(connId, "run " + def.name + " scale=" +
                         std::to_string(ctx.scale) + " points=" +
                         std::to_string(numPoints));
     const auto runStart = std::chrono::steady_clock::now();
@@ -632,7 +605,7 @@ Server::handleRun(int fd, std::uint64_t connId,
         digests.push_back(programDigest(w.program));
 
     json::Writer ack = openReply("ack", id);
-    ack.key("run").value(runName);
+    ack.key("run").value(def.name);
     ack.key("specs").value(numSpecs);
     ack.key("workloads").value(numWl);
     ack.key("points").value(numPoints);
@@ -713,7 +686,7 @@ Server::handleRun(int fd, std::uint64_t connId,
     const double seconds = wireSeconds(runStart);
 
     if (!firstError.empty()) {
-        logLine(connId, "run " + runName + " failed: " + firstError);
+        logLine(connId, "run " + def.name + " failed: " + firstError);
         sendError(fd, id, "sim-failed", firstError);
         return;
     }
@@ -725,16 +698,16 @@ Server::handleRun(int fd, std::uint64_t connId,
             results.push_back(ExperimentResult{
                 specs[si], SuiteResult(std::move(grid[si]))});
         }
-        const RunInfo info{runName, ctx.scale, ctx.maxCommitted};
+        const RunInfo info{def.name, ctx.scale, ctx.maxCommitted};
         json::Writer w = openReply("document", id);
-        w.key("name").value(runName);
+        w.key("name").value(def.name);
         w.key("json").value(resultsJson(info, results));
         writable = sendLine(fd, w.endObject().str());
     }
 
     if (writable) {
         json::Writer w = openReply("done", id);
-        w.key("run").value(runName);
+        w.key("run").value(def.name);
         w.key("points").value(numPoints);
         w.key("cache_hits").value(cacheHits);
         w.key("computed").value(computed);
@@ -744,7 +717,7 @@ Server::handleRun(int fd, std::uint64_t connId,
     }
     char secondsBuf[32];
     std::snprintf(secondsBuf, sizeof(secondsBuf), "%.3f", seconds);
-    logLine(connId, "run " + runName + " done: " +
+    logLine(connId, "run " + def.name + " done: " +
                         std::to_string(numPoints) + " points, " +
                         std::to_string(cacheHits) + " cache hits, " +
                         std::to_string(computed) + " computed, " +

@@ -24,7 +24,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -34,6 +33,7 @@
 
 #include "common/content_store.hh"
 #include "common/json.hh"
+#include "exp/registry.hh"
 #include "serve/service.hh"
 #include "workloads/kernels.hh"
 
@@ -100,13 +100,11 @@ class Server
                    const json::Value &req,
                    const std::optional<std::string> &id);
     void handleStats(int fd);
-    /** The suite @p source names (a sweep spec's "suite", or
-     *  "experiment:<name>" for a custom suite builder) at @p scale,
-     *  from the memo or built now by @p build.  Concurrent first
-     *  requests for one suite build it once. */
+    /** @p def's suite at ctx.scale, from the memo (keyed on
+     *  def.suiteName) or built now.  Concurrent first requests for one
+     *  suite build it once. */
     std::shared_ptr<const std::vector<Workload>>
-    suiteFor(const std::string &source, int scale,
-             const std::function<std::vector<Workload>()> &build);
+    suiteFor(const exp::ExperimentDef &def, const exp::RunContext &ctx);
     /** Best-effort write of @p reply + '\n'; false when the peer is
      *  gone (callers keep draining but stop writing). */
     bool sendLine(int fd, const std::string &reply);

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/logging.hh"
 #include "core/config_check.hh"
 #include "exp/registry.hh"
@@ -171,6 +173,17 @@ TEST(ConfigCheck, RejectsSamplingWithNoFastForwardPhase)
     const auto findings = checkCoreConfig(cfg);
     EXPECT_TRUE(hasRule(findings, "sampling-no-fast-forward"));
     EXPECT_FALSE(hasRule(findings, "sampling-warmup-ge-interval"));
+}
+
+TEST(ConfigCheck, NoFastForwardRuleSeesThroughWrap)
+{
+    // warmup + window wraps to 99, below the interval.
+    CoreConfig cfg;
+    cfg.sampling.interval = 1000;
+    cfg.sampling.window = std::numeric_limits<std::uint64_t>::max();
+    cfg.sampling.warmup = 100;
+    EXPECT_TRUE(
+        hasRule(checkCoreConfig(cfg), "sampling-no-fast-forward"));
 }
 
 TEST(ConfigCheck, WarnsWhenBudgetBelowOneInterval)

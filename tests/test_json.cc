@@ -115,6 +115,17 @@ TEST(Json, AccessorsCheckKinds)
     EXPECT_THROW(obj.at("b"), FatalError); // absent member
 }
 
+TEST(Json, U64RejectsTwoToTheSixtyFour)
+{
+    // 2^64 - 1 rounds to the double 2^64, which no uint64_t holds: it
+    // must be refused, not cast (to 0 on x86).  The largest double
+    // below 2^64 still converts exactly.
+    EXPECT_THROW(json::parse("18446744073709551615").asU64(), FatalError);
+    EXPECT_THROW(json::parse("18446744073709551616").asU64(), FatalError);
+    EXPECT_EQ(json::parse("18446744073709549568").asU64(),
+              18446744073709549568u);
+}
+
 TEST(Json, ErrorsCarryLocation)
 {
     try {

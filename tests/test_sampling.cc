@@ -8,6 +8,7 @@
 
 #include <cstdlib>
 #include <gtest/gtest.h>
+#include <limits>
 
 #include "common/logging.hh"
 #include "exp/registry.hh"
@@ -71,6 +72,27 @@ TEST(SamplingSpec, RejectsGarbageAndInfeasible)
     EXPECT_THROW(parseSamplingSpec("0"), FatalError);
     // interval must exceed warmup + window
     EXPECT_THROW(parseSamplingSpec("1000:600:400"), FatalError);
+}
+
+TEST(SamplingSpec, RejectsWrappingAndSaturatingFields)
+{
+    // warmup + window wraps to 99, below the interval: still refused.
+    EXPECT_THROW(parseSamplingSpec("1000:18446744073709551615:100"),
+                 FatalError);
+    EXPECT_THROW(parseSamplingSpec("1000:100:18446744073709551615"),
+                 FatalError);
+    // Beyond 2^64 - 1: refused, not saturated to UINT64_MAX.
+    EXPECT_THROW(parseSamplingSpec("99999999999999999999999"),
+                 FatalError);
+}
+
+TEST(SamplingSpec, ConfigValidateRejectsWrappingWindow)
+{
+    CoreConfig cfg = baseConfig();
+    cfg.sampling.interval = 1000;
+    cfg.sampling.warmup = 100;
+    cfg.sampling.window = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_THROW(cfg.validate(), FatalError);
 }
 
 TEST(SamplingSpec, ConfigValidateRejectsInfeasible)

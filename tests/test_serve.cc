@@ -1218,4 +1218,90 @@ TEST(Protocol, RecvEintrRetriesInsteadOfDisconnecting)
     ::sigaction(SIGUSR1, &old, nullptr);
 }
 
+TEST(Protocol, IntegersThatWrapAreRefused)
+{
+    // A "max_committed" of 2^64 - 1 parses as the double 2^64, which
+    // once cast to 0 ("run to halt"); a sampling warmup + window that
+    // wraps below the interval once passed the feasibility check.
+    // Both are bad requests.
+    TmpDir dir("wrap");
+    ServerOptions opts;
+    opts.port = 0;
+    opts.cacheDir = dir.str();
+    opts.jobs = 1;
+    opts.scale = 1;
+    Server server(std::move(opts));
+    const int port = server.start();
+    std::thread serving([&server] { server.serve(); });
+    {
+        ServeClient client("127.0.0.1:" + std::to_string(port));
+        const std::string spec =
+            "\"spec\":{\"name\":\"x\",\"axes\":{\"width\":[4]}}";
+        client.sendLine("{\"verb\":\"run\"," + spec +
+                        ",\"max_committed\":18446744073709551615}");
+        EXPECT_EQ(client.readReply().at("code").asString(),
+                  "bad-request");
+        client.sendLine("{\"verb\":\"run\"," + spec +
+                        ",\"sampling\":{\"interval\":10000,"
+                        "\"window\":18446744073709549568,"
+                        "\"warmup\":4096}}");
+        EXPECT_EQ(client.readReply().at("code").asString(),
+                  "bad-request");
+    }
+    server.requestStop();
+    serving.join();
+}
+
+TEST(Protocol, ClientRefusesAJunkPort)
+{
+    // The whole port must be decimal: "1x" is not port 1.
+    for (const char *hostPort :
+         {"127.0.0.1:1x", "127.0.0.1:+1", "127.0.0.1:65536"}) {
+        try {
+            ServeClient client(hostPort);
+            ADD_FAILURE() << hostPort << " was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("bad port"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(Protocol, ServedSampledSpecMatchesLocalRun)
+{
+    // A spec served through the client's point runner takes the run
+    // options exactly as the local driver does: the sampled artifact
+    // is byte-equal to runExperiments() over the same expansion.
+    TmpDir dir("sampledspec");
+    ServerOptions opts;
+    opts.port = 0;
+    opts.cacheDir = dir.str();
+    opts.jobs = 2;
+    Server server(std::move(opts));
+    const int port = server.start();
+    std::thread serving([&server] { server.serve(); });
+    {
+        RunContext ctx;
+        ctx.scale = 1;
+        ctx.maxCommitted = 6000;
+        ctx.sampling = parseSamplingSpec("600:100:100");
+        const SweepSpec spec = parseSweepSpec(
+            R"({"name": "tiny", "axes": {"width": [4], "regs": [64, 80]}})");
+        const ExperimentDef def = specExperiment(spec);
+        const std::vector<ExperimentSpec> specs =
+            expandExperiment(def, ctx);
+        const std::vector<Workload> suite = buildSuite(def, ctx);
+        const RunInfo info{def.name, ctx.scale, ctx.maxCommitted};
+        const std::string served = resultsJson(
+            info, servedPoints("127.0.0.1:" + std::to_string(port), ctx,
+                               def, &spec)(specs, suite));
+        EXPECT_EQ(served,
+                  resultsJson(info, runExperiments(specs, suite, 2)));
+        EXPECT_NE(served.find("\"ipc_estimate\""), std::string::npos);
+    }
+    server.requestStop();
+    serving.join();
+}
+
 } // namespace

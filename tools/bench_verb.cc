@@ -12,6 +12,11 @@
  *   drsim bench --json out/ table1      # artifact directory
  *   drsim bench --spec sweep.json       # declarative spec file
  *
+ * Experiment names and spec files resolve to one list of
+ * ExperimentDefs up front; every one then runs through the same
+ * driver (exp::runExperiment), with its points computed locally or,
+ * under --server, by a `drsim serve` daemon.
+ *
  * Flags override the corresponding DRSIM_* environment variables
  * (DRSIM_SCALE, DRSIM_MAX_COMMITTED, DRSIM_JOBS, DRSIM_RESULTS_DIR,
  * DRSIM_SAMPLE, DRSIM_PREDICTOR, DRSIM_RESULT_BUSES), which all keep
@@ -42,22 +47,30 @@ namespace {
 using namespace drsim;
 using namespace drsim::exp;
 
+/** One resolved run target: its def and how its points get computed
+ *  (empty = on the local worker pool). */
+struct Target
+{
+    ExperimentDef def;
+    PointRunner compute;
+};
+
 void
 listExperiments()
 {
     std::printf("%-18s %-6s %6s  %s\n", "experiment", "kind",
                 "points", "description");
     for (const ExperimentDef &def : experimentRegistry()) {
-        if (def.run != nullptr) {
-            std::printf("%-18s %-6s %6s  %s\n", def.name, "custom",
-                        "-", def.description);
+        if (def.run) {
+            std::printf("%-18s %-6s %6s  %s\n", def.name.c_str(),
+                        "custom", "-", def.description.c_str());
             continue;
         }
         std::size_t points = 0;
         for (const GridDef &grid : def.grids())
             points += gridPoints(grid);
-        std::printf("%-18s %-6s %6zu  %s\n", def.name, "grid",
-                    points, def.description);
+        std::printf("%-18s %-6s %6zu  %s\n", def.name.c_str(), "grid",
+                    points, def.description.c_str());
     }
 }
 
@@ -65,56 +78,33 @@ int
 dryRun(const ExperimentDef &def, const RunContext &ctx,
        const std::string &filter)
 {
-    if (def.run != nullptr) {
+    if (def.run) {
         std::printf("%s: (custom harness; no declarative grid)\n",
-                    def.name);
+                    def.name.c_str());
         return 0;
     }
     std::vector<ExperimentSpec> specs = expandExperiment(def, ctx);
+    std::erase_if(specs, [&filter](const ExperimentSpec &spec) {
+        return spec.name.find(filter) == std::string::npos;
+    });
     const std::vector<Workload> suite = buildSuite(def, ctx);
-    std::size_t shown = 0;
-    std::string lines;
-    for (const ExperimentSpec &spec : specs) {
-        if (!filter.empty() &&
-            spec.name.find(filter) == std::string::npos)
-            continue;
-        for (const Workload &w : suite) {
-            lines += "  " + spec.name + " x " + w.spec->name + "  [" +
-                     configSummary(spec.config) + "]\n";
-        }
-        ++shown;
-    }
     std::printf("%s: %zu specs x %zu workloads = %zu points\n",
-                def.name, shown, suite.size(), shown * suite.size());
-    std::fputs(lines.c_str(), stdout);
-    if (shown == 0 && !filter.empty()) {
+                def.name.c_str(), specs.size(), suite.size(),
+                specs.size() * suite.size());
+    for (const ExperimentSpec &spec : specs) {
+        for (const Workload &w : suite) {
+            std::printf("  %s x %s  [%s]\n", spec.name.c_str(),
+                        w.spec->name.c_str(),
+                        configSummary(spec.config).c_str());
+        }
+    }
+    if (specs.empty() && !filter.empty()) {
         std::fprintf(stderr,
                      "%s: no spec name contains --filter '%s'\n",
-                     def.name, filter.c_str());
+                     def.name.c_str(), filter.c_str());
         return 1;
     }
     return 0;
-}
-
-int
-runSpecFilePath(const std::string &path, const RunContext &ctx,
-                const std::string &filter, bool dry_run,
-                const std::string &server)
-{
-    const SweepSpec spec = parseSweepSpec(tools::readFile(path));
-    if (dry_run) {
-        std::vector<ExperimentSpec> specs = expandGrid(toGrid(spec));
-        std::printf("%s: %zu specs\n", spec.name.c_str(),
-                    specs.size());
-        for (const ExperimentSpec &s : specs) {
-            std::printf("  %s  [%s]\n", s.name.c_str(),
-                        configSummary(s.config).c_str());
-        }
-        return 0;
-    }
-    if (!server.empty())
-        return serve::runSweepSpecViaServer(spec, ctx, server);
-    return runSweepSpec(spec, ctx, filter);
 }
 
 } // namespace
@@ -259,9 +249,9 @@ drsim::tools::benchVerb(int argc, const char *const *argv)
         }
     }
 
-    // Resolve every name before running anything, so a typo in the
-    // second experiment does not waste the first one's sweep.
-    std::vector<const ExperimentDef *> defs;
+    // Resolve every name and spec file before running anything, so a
+    // typo in the second one does not waste the first one's sweep.
+    std::vector<Target> targets;
     for (const std::string &name : names) {
         const ExperimentDef *def = findExperiment(name);
         if (def == nullptr) {
@@ -271,21 +261,30 @@ drsim::tools::benchVerb(int argc, const char *const *argv)
                          name.c_str());
             return 2;
         }
-        defs.push_back(def);
-    }
-
-    for (const ExperimentDef *def : defs) {
-        const int rc =
-            dry_run ? dryRun(*def, ctx, filter)
-            : !server.empty()
-                ? serve::runExperimentViaServer(*def, ctx, server)
-                : runExperiment(*def, ctx, filter);
-        if (rc != 0)
-            return rc;
+        if (def->run && !server.empty()) {
+            std::fprintf(stderr,
+                         "%s: custom experiments cannot run via "
+                         "--server (no grid to serve)\n",
+                         name.c_str());
+            return 2;
+        }
+        targets.push_back(
+            {*def, server.empty() ? PointRunner{}
+                                  : serve::servedPoints(server, ctx, *def)});
     }
     for (const std::string &path : spec_files) {
-        const int rc = runSpecFilePath(path, ctx, filter, dry_run,
-                                       server);
+        const SweepSpec spec = parseSweepSpec(tools::readFile(path));
+        ExperimentDef def = specExperiment(spec);
+        PointRunner compute =
+            server.empty() ? PointRunner{}
+                           : serve::servedPoints(server, ctx, def, &spec);
+        targets.push_back({std::move(def), std::move(compute)});
+    }
+
+    for (const Target &t : targets) {
+        const int rc = dry_run ? dryRun(t.def, ctx, filter)
+                               : runExperiment(t.def, ctx, filter,
+                                               t.compute);
         if (rc != 0)
             return rc;
     }
