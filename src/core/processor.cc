@@ -186,47 +186,16 @@ Processor::restoreArchState(const EmuArchState &state)
     emu_.restoreArchState(state);
 }
 
-std::uint64_t
-Processor::warmFastForward(std::uint64_t n)
+void
+Processor::restoreWarmState(const WarmState &state)
 {
     if (now_ != 0 || stats_.committed != 0 || !window_.empty()) {
         DRSIM_PANIC(
-            "warmFastForward() on a machine that already ran");
+            "restoreWarmState() on a machine that already ran");
     }
-
-    // Replay the architectural stream into the microarchitectural
-    // predictors.  The branch predictor is trained the way the
-    // pipeline would on a perfectly predicted run: predict (to age
-    // the history), then update against the history the prediction
-    // used.
-    struct Warmer : Emulator::FfObserver
-    {
-        Processor &p;
-        explicit Warmer(Processor &proc) : p(proc) {}
-        void ffFetch(Addr pc) override { p.icache_.warmFetch(pc); }
-        void
-        ffMem(Addr addr, bool is_store) override
-        {
-            if (is_store)
-                p.dcache_.warmStore(addr);
-            else
-                p.dcache_.warmLoad(addr);
-        }
-        void
-        ffBranch(Addr pc, bool taken) override
-        {
-            p.pred_->update(pc, p.pred_->history(), taken);
-            p.pred_->shiftHistory(taken);
-        }
-    };
-
-    Warmer warmer(*this);
-    emu_.setFfObserver(&warmer);
-    const std::uint64_t done = emu_.fastForward(n);
-    emu_.setFfObserver(nullptr);
-    icache_.finishWarm();
-    dcache_.finishWarm();
-    return done;
+    icache_.restoreWarmState(state.icache);
+    dcache_.restoreWarmState(state.dcache);
+    pred_->restoreState(state.predictor);
 }
 
 std::uint64_t

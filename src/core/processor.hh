@@ -213,6 +213,20 @@ struct ProcStats
     }
 };
 
+/**
+ * What functional warming leaves in a configuration's
+ * microarchitecture (DESIGN.md §5j): instruction- and data-cache tag
+ * state and the branch predictor's saveState() image.  Everything
+ * else in a machine (rename, queues, write buffer, MSHRs) starts at
+ * reset either way.
+ */
+struct WarmState
+{
+    CacheWarmState icache;
+    CacheWarmState dcache;
+    std::vector<std::uint8_t> predictor;
+};
+
 class Processor
 {
   public:
@@ -264,25 +278,20 @@ class Processor
      * (no cycles run, nothing fetched): the sampling driver constructs
      * one Processor per measured window and resumes it from the
      * interval's checkpoint (DESIGN.md §5j).  Microarchitectural state
-     * (caches, predictor, rename) stays at reset — the stat-gated
-     * warm-up re-fills it.  Panics if the machine already ran.
+     * (caches, predictor, rename) stays at reset — restoreWarmState()
+     * and the stat-gated warm-up re-fill it.  Panics if the machine
+     * already ran.
      */
     void restoreArchState(const EmuArchState &state);
 
     /**
-     * Functional warming (DESIGN.md §5j): architecturally execute up
-     * to @p n instructions, replaying the stream into this
-     * configuration's instruction cache, data cache, and branch
-     * predictor — no timing, no stats.  Run between restoreArchState()
-     * and the detailed warm-up so the measured window starts from
-     * representatively warm microarchitectural state instead of a
-     * cold machine.  Deterministic: the warmed state is a pure
-     * function of the snapshot, the instruction stream, and the
-     * configuration.  Returns the instructions executed (fewer than
-     * @p n only at the program's halt).  Must precede any detailed
-     * execution.
+     * Restore functionally warmed microarchitectural state (DESIGN.md
+     * §5j) into a *fresh* machine: the caches' tag state and the
+     * branch predictor, as the checkpoint library's functional pass
+     * left them at this window's detail start.  Panics if the machine
+     * already ran.
      */
-    std::uint64_t warmFastForward(std::uint64_t n);
+    void restoreWarmState(const WarmState &state);
 
     /**
      * Gate the per-cycle occupancy/live histograms (sampling warm-up:

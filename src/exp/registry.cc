@@ -24,15 +24,22 @@ RunContext::fromEnv()
     ctx.maxCommitted = envU64("DRSIM_MAX_COMMITTED", 0);
     const char *dir = std::getenv("DRSIM_RESULTS_DIR");
     ctx.resultsDir = dir != nullptr ? dir : ".";
-    const char *sample = std::getenv("DRSIM_SAMPLE");
-    if (sample != nullptr && sample[0] != '\0')
-        ctx.sampling = parseSamplingSpec(sample);
+    ctx.sampling = samplingFromEnv();
     const char *pred = std::getenv("DRSIM_PREDICTOR");
     if (pred != nullptr && pred[0] != '\0')
         ctx.predictor = pred;
     ctx.resultBuses = envInt("DRSIM_RESULT_BUSES", -1, -1,
                              std::numeric_limits<int>::max());
     return ctx;
+}
+
+SamplingConfig
+samplingFromEnv()
+{
+    const char *sample = std::getenv("DRSIM_SAMPLE");
+    if (sample == nullptr || sample[0] == '\0')
+        return {};
+    return parseSamplingSpec(sample);
 }
 
 SamplingConfig

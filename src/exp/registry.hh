@@ -83,6 +83,10 @@ struct RunContext
  */
 SamplingConfig parseSamplingSpec(const std::string &text);
 
+/** DRSIM_SAMPLE parsed by parseSamplingSpec(), or sampling off when
+ *  it is unset or empty; fatal() on a malformed spec. */
+SamplingConfig samplingFromEnv();
+
 struct ExperimentDef
 {
     /** Registry key and artifact id. */

@@ -235,6 +235,7 @@ measureParallelSampled(SpeedRunInfo &info, const CoreConfig &full_cfg,
         s.baseline.total =
             timedRun(sampled_cfg, suite[i], reps, base_res);
         s.baseline.acquire = base_res.profile.acquireSeconds;
+        s.baseline.restore = base_res.profile.restoreSeconds;
         s.baseline.warmup = base_res.profile.warmupSeconds;
         s.baseline.window = base_res.profile.windowSeconds;
 
@@ -250,6 +251,7 @@ measureParallelSampled(SpeedRunInfo &info, const CoreConfig &full_cfg,
         s.warm.total = timedRun(sampled_cfg, suite[i], reps, res);
         checkSampledIdentical(base_res, res);
         s.warm.acquire = res.profile.acquireSeconds;
+        s.warm.restore = res.profile.restoreSeconds;
         s.warm.warmup = res.profile.warmupSeconds;
         s.warm.window = res.profile.windowSeconds;
         s.ckptHits = res.profile.ckptHits;

@@ -341,6 +341,38 @@ rebaseWarmRanks(std::vector<Line> &lines, std::uint32_t num_sets,
     }
 }
 
+/** The valid lines of @p lines, with their ranks (see WarmLine). */
+template <typename Line>
+CacheWarmState
+saveWarmLines(const std::vector<Line> &lines)
+{
+    CacheWarmState out;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        if (lines[i].valid) {
+            out.push_back({std::uint32_t(i),
+                           std::uint32_t(lines[i].lastUsed),
+                           lines[i].tag});
+        }
+    }
+    return out;
+}
+
+/** Overlay @p state on the never-touched @p lines. */
+template <typename Line>
+void
+restoreWarmLines(std::vector<Line> &lines, const CacheWarmState &state)
+{
+    for (const WarmLine &w : state) {
+        if (w.index >= lines.size())
+            DRSIM_PANIC("warm line ", w.index, " outside a ",
+                        lines.size(), "-line cache");
+        Line &line = lines[w.index];
+        line.valid = true;
+        line.tag = w.tag;
+        line.lastUsed = w.rank;
+    }
+}
+
 } // namespace
 
 void
@@ -386,6 +418,18 @@ DataCache::finishWarm()
     warmTick_ = 0;
 }
 
+CacheWarmState
+DataCache::warmState() const
+{
+    return saveWarmLines(lines_);
+}
+
+void
+DataCache::restoreWarmState(const CacheWarmState &state)
+{
+    restoreWarmLines(lines_, state);
+}
+
 void
 InstCache::warmFetch(Addr pc)
 {
@@ -421,6 +465,18 @@ InstCache::finishWarm()
         return;
     rebaseWarmRanks(lines_, numSets_, config_.assoc);
     warmTick_ = 0;
+}
+
+CacheWarmState
+InstCache::warmState() const
+{
+    return saveWarmLines(lines_);
+}
+
+void
+InstCache::restoreWarmState(const CacheWarmState &state)
+{
+    restoreWarmLines(lines_, state);
 }
 
 } // namespace drsim

@@ -74,6 +74,24 @@ struct CacheConfig
     bool operator==(const CacheConfig &) const = default;
 };
 
+/**
+ * One valid line of a functionally warmed cache (DESIGN.md §5j): its
+ * place in the set-major line array, its tag, and the per-set recency
+ * rank finishWarm() left it (0 = least recently used).  A cache's warm
+ * state is the list of its valid lines; every other line is invalid,
+ * so a cold cache is the empty list.
+ */
+struct WarmLine
+{
+    std::uint32_t index = 0;
+    std::uint32_t rank = 0;
+    Addr tag = 0;
+
+    bool operator==(const WarmLine &) const = default;
+};
+
+using CacheWarmState = std::vector<WarmLine>;
+
 /** Outcome of issuing a load to the data cache. */
 struct LoadResult
 {
@@ -169,6 +187,13 @@ class DataCache
      * itself.  Call once, after the last warm touch.
      */
     void finishWarm();
+    /** The tag state as finishWarm() left it. */
+    CacheWarmState warmState() const;
+    /**
+     * Load a warmState() into a cache that has not run: afterwards it
+     * is indistinguishable from the cache that state was taken from.
+     */
+    void restoreWarmState(const CacheWarmState &state);
     /// @}
 
   private:
@@ -240,6 +265,9 @@ class InstCache
     void warmFetch(Addr pc);
     /** Rebase warm recency to per-set ranks (see DataCache). */
     void finishWarm();
+    /** Warm tag state save/restore (see DataCache). */
+    CacheWarmState warmState() const;
+    void restoreWarmState(const CacheWarmState &state);
 
   private:
     struct Line

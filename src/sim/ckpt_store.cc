@@ -5,6 +5,7 @@
 #include <sstream>
 #include <string_view>
 
+#include "bpred/predictor.hh"
 #include "common/env.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -17,7 +18,7 @@ namespace drsim {
 namespace {
 
 /** Bump when the snapshot format or boundary placement changes. */
-constexpr const char *kBuiltinCkptRev = "ckpt-v2";
+constexpr const char *kBuiltinCkptRev = "ckpt-v3";
 
 /** Leading magic of every snapshot file. */
 constexpr std::string_view kStateMagic = "DRSIMCK1";
@@ -93,14 +94,14 @@ stateSuffix(std::uint64_t pos)
     return ".p" + std::to_string(pos) + ".bin";
 }
 
-/** The meta file: key text, arch length, positions, detail starts. */
+/** The meta file: key text, arch length, positions. */
 std::string
 encodeMeta(const std::string &key_text, const std::string &hash,
            const std::string &rev, const SampleCkpts &plan)
 {
     json::Writer w;
     w.beginObject();
-    w.key("drsim_ckpt").value(1);
+    w.key("drsim_ckpt").value(2);
     w.key("computed_at_rev").value(rev);
     w.key("key_hash").value(hash);
     w.key("key").value(key_text);
@@ -109,22 +110,23 @@ encodeMeta(const std::string &key_text, const std::string &hash,
     for (const std::uint64_t p : plan.positions)
         w.value(p);
     w.endArray();
-    w.key("detail_starts").beginArray();
-    for (const std::uint64_t d : plan.detailStarts)
-        w.value(d);
-    w.endArray();
     w.endObject();
     return w.str() + "\n";
 }
 
-/** Decode a meta file into @p plan; "" or why it is unusable. */
+/**
+ * Decode a meta file into @p plan; "" or why it is unusable.  Every
+ * position before the last is a detail start, so they lie at least
+ * one detailed phase (@p detail instructions) after their
+ * predecessor (or reset), and all before the arch length.
+ */
 std::string
 decodeMeta(const std::string &bytes, const std::string &key_text,
-           SampleCkpts &plan)
+           std::uint64_t detail, SampleCkpts &plan)
 {
     const json::Value doc = json::parse(bytes);
-    if (!doc.isObject() || doc.at("drsim_ckpt").asU64() != 1)
-        return "not a v1 checkpoint meta";
+    if (!doc.isObject() || doc.at("drsim_ckpt").asU64() != 2)
+        return "not a v2 checkpoint meta";
     if (doc.at("key").asString() != key_text)
         return "key text mismatch (hash collision or stale generator)";
     plan.archLength = doc.at("arch_length").asU64();
@@ -132,27 +134,15 @@ decodeMeta(const std::string &bytes, const std::string &key_text,
     for (const json::Value &p : doc.at("positions").items())
         plan.positions.push_back(p.asU64());
     if (plan.positions.empty() ||
-        plan.positions.back() != plan.archLength ||
-        !std::is_sorted(plan.positions.begin(), plan.positions.end()) ||
-        std::adjacent_find(plan.positions.begin(),
-                           plan.positions.end()) != plan.positions.end())
+        plan.positions.back() != plan.archLength)
         return "inconsistent position list";
-    plan.detailStarts.clear();
-    for (const json::Value &p : doc.at("detail_starts").items())
-        plan.detailStarts.push_back(p.asU64());
-    const std::size_t np = plan.positions.size();
-    const std::size_t nd = plan.detailStarts.size();
-    bool ds_ok = nd == np - 1 ||
-                 (nd == np &&
-                  plan.detailStarts.back() == plan.positions.back());
-    for (std::size_t i = 0; ds_ok && i < nd; ++i) {
-        ds_ok = plan.detailStarts[i] >= plan.positions[i] &&
-                plan.detailStarts[i] <= plan.archLength &&
-                (i == 0 ||
-                 plan.detailStarts[i] > plan.detailStarts[i - 1]);
+    std::uint64_t prev = 0;
+    for (std::size_t i = 0; i + 1 < plan.positions.size(); ++i) {
+        const std::uint64_t p = plan.positions[i];
+        if (p < prev || p - prev < detail || p >= plan.archLength)
+            return "inconsistent position list";
+        prev = p;
     }
-    if (!ds_ok)
-        return "inconsistent detail-start list";
     return "";
 }
 
@@ -260,8 +250,7 @@ ckptKeyText(const CkptKey &key, const std::string &rev)
        << "program_digest=" << key.digest << "\n"
        << "interval=" << key.interval << "\n"
        << "window=" << key.window << "\n"
-       << "warmup=" << key.warmup << "\n"
-       << "warmff=" << key.warmff << "\n";
+       << "warmup=" << key.warmup << "\n";
     return os.str();
 }
 
@@ -275,8 +264,37 @@ ckptKeyFor(const std::string &workload, const Program &program,
     key.interval = sampling.interval;
     key.window = sampling.window;
     key.warmup = sampling.warmup;
-    key.warmff = sampling.warmff;
     return key;
+}
+
+WarmKey
+warmKeyFor(const CoreConfig &config)
+{
+    WarmKey key;
+    key.perfectDCache = config.cacheKind == CacheKind::Perfect;
+    key.dcacheSize = config.dcache.sizeBytes;
+    key.dcacheAssoc = config.dcache.assoc;
+    key.dcacheLine = config.dcache.lineBytes;
+    key.icacheSize = config.icache.sizeBytes;
+    key.icacheAssoc = config.icache.assoc;
+    key.icacheLine = config.icache.lineBytes;
+    key.predictor = config.predictor;
+    key.warmff = config.sampling.warmff;
+    return key;
+}
+
+std::string
+warmKeyText(const WarmKey &key)
+{
+    std::ostringstream os;
+    os << "warm_dcache=" << (key.perfectDCache ? "perfect" : "tags")
+       << ":" << key.dcacheSize << ":" << key.dcacheAssoc << ":"
+       << key.dcacheLine << "\n"
+       << "warm_icache=" << key.icacheSize << ":" << key.icacheAssoc
+       << ":" << key.icacheLine << "\n"
+       << "warm_predictor=" << key.predictor << "\n"
+       << "warmff=" << key.warmff << "\n";
+    return os.str();
 }
 
 const EmuArchState *
@@ -309,10 +327,10 @@ CkptStore::statePath(const CkptKey &key, std::uint64_t pos) const
 /**
  * Generate the full plan from reset: fast-forward one period
  * (warmup + window, then the jittered gap) at a time, snapshotting at
- * every warm-start boundary, until the emulator stops at the
- * program's architectural end.  The final snapshot always sits at
- * archLength — it is the restore point for the detailed tail that
- * commits the Halt.
+ * every detail start, until the emulator stops at the program's
+ * architectural end.  The final snapshot always sits at archLength —
+ * it is the restore point for the detailed tail that commits the
+ * Halt.
  */
 SampleCkpts
 generateSampleCkpts(const CkptKey &key, const Program &program)
@@ -321,47 +339,152 @@ generateSampleCkpts(const CkptKey &key, const Program &program)
     Emulator emu(program);
     GapSequence gaps(key);
     std::uint64_t pos = 0;
-    const auto finish = [&]() -> SampleCkpts {
-        // Halt (or a blocked fetch) is at pos: this is the
-        // architectural end.  Dedupe against a warm-start boundary
-        // that landed exactly there.
-        if (plan.positions.empty() || plan.positions.back() != pos) {
-            plan.positions.push_back(pos);
-            plan.states.push_back(emu.saveArchState());
-        }
-        plan.archLength = pos;
-        return std::move(plan);
-    };
+    const std::uint64_t detail = key.warmup + key.window;
     while (true) {
-        // This period's detailed phase (warm-up + window).
-        const std::uint64_t detail = key.warmup + key.window;
+        // This period's detailed phase (warm-up + window), then the
+        // gap.  A snapshot is published only once the next detail
+        // start is reached, so a halt mid-gap never leaves a
+        // checkpoint whose window could not run.
         std::uint64_t stepped = emu.fastForward(detail);
         pos += stepped;
         if (stepped < detail)
-            return finish();
-
-        // The gap: skip to the warm start, snapshot, then advance
-        // the replay stretch to the detail start.  The checkpoint is
-        // published only once the detail start is reached, so a halt
-        // mid-gap or mid-replay never leaves a checkpoint whose
-        // window could not run.
+            break;
         const std::uint64_t gap = gaps.next();
-        const std::uint64_t replay =
-            key.warmff == 0 ? gap : std::min(key.warmff, gap);
-        stepped = emu.fastForward(gap - replay);
+        stepped = emu.fastForward(gap);
         pos += stepped;
-        if (stepped < gap - replay)
-            return finish();
-        EmuArchState warm_start = emu.saveArchState();
-        const std::uint64_t warm_pos = pos;
-        stepped = emu.fastForward(replay);
-        pos += stepped;
-        if (stepped < replay)
-            return finish();
-        plan.positions.push_back(warm_pos);
-        plan.states.push_back(std::move(warm_start));
-        plan.detailStarts.push_back(pos);
+        if (stepped < gap)
+            break;
+        plan.positions.push_back(pos);
+        plan.states.push_back(emu.saveArchState());
     }
+    // Halt (or a blocked fetch) is at pos: this is the architectural
+    // end.  Dedupe against a detail start that landed exactly there.
+    if (plan.positions.empty() || plan.positions.back() != pos) {
+        plan.positions.push_back(pos);
+        plan.states.push_back(emu.saveArchState());
+    }
+    plan.archLength = pos;
+    return plan;
+}
+
+namespace {
+
+/**
+ * The warming replay's view of one configuration: its caches and
+ * branch predictor, trained by the architectural stream the way the
+ * pipeline would train them on a perfectly predicted run — fetches
+ * touch the instruction cache, loads fill and stores refresh the data
+ * cache, and each conditional branch is predicted (to age the
+ * history), then updated against the history the prediction used.
+ * No timing and no stats.
+ */
+class FunctionalWarmer : public Emulator::FfObserver
+{
+  public:
+    /** A cold machine of @p key's configuration. */
+    explicit FunctionalWarmer(const WarmKey &key)
+        : pred_(makeBranchPredictor(key.predictor)),
+          dcache_(key.perfectDCache ? CacheKind::Perfect
+                                    : CacheKind::LockupFree,
+                  geometry(key.dcacheSize, key.dcacheAssoc,
+                           key.dcacheLine)),
+          icache_(geometry(key.icacheSize, key.icacheAssoc,
+                           key.icacheLine))
+    {
+    }
+
+    /** The emulator holds its address while it replays. */
+    FunctionalWarmer(const FunctionalWarmer &) = delete;
+    FunctionalWarmer &operator=(const FunctionalWarmer &) = delete;
+
+    /** The warm state this replay built. */
+    WarmState
+    capture()
+    {
+        icache_.finishWarm();
+        dcache_.finishWarm();
+        return {icache_.warmState(), dcache_.warmState(),
+                pred_->saveState()};
+    }
+
+    void ffFetch(Addr pc) override { icache_.warmFetch(pc); }
+
+    void
+    ffMem(Addr addr, bool is_store) override
+    {
+        if (is_store)
+            dcache_.warmStore(addr);
+        else
+            dcache_.warmLoad(addr);
+    }
+
+    void
+    ffBranch(Addr pc, bool taken) override
+    {
+        pred_->update(pc, pred_->history(), taken);
+        pred_->shiftHistory(taken);
+    }
+
+  private:
+    static CacheConfig
+    geometry(std::uint32_t size, std::uint32_t assoc, std::uint32_t line)
+    {
+        CacheConfig c;
+        c.sizeBytes = size;
+        c.assoc = assoc;
+        c.lineBytes = line;
+        return c;
+    }
+
+    std::unique_ptr<BranchPredictor> pred_;
+    DataCache dcache_;
+    InstCache icache_;
+};
+
+} // namespace
+
+/**
+ * One functional pass over the program: skip to each window's warm
+ * start (its detail start minus the warming horizon — min(warmff,
+ * gap), the whole gap when warmff is 0), replay the rest of the gap
+ * into a cold FunctionalWarmer, and capture the result.  Each window
+ * warms from a cold machine: the state is a function of its own
+ * warming stretch alone.
+ */
+WarmStates
+generateWarmStates(const CkptKey &key, const SampleCkpts &plan,
+                   const Program &program, const WarmKey &warm)
+{
+    WarmStates out;
+    Emulator emu(program);
+    const std::uint64_t detail = key.warmup + key.window;
+    std::uint64_t pos = 0;
+    std::uint64_t gap_start = detail;
+    for (const std::uint64_t start : plan.positions) {
+        if (start >= plan.archLength)
+            break;
+        if (start < gap_start)
+            DRSIM_PANIC("detail start ", start, " inside the detailed "
+                        "phase ending at ", gap_start);
+        const std::uint64_t gap = start - gap_start;
+        const std::uint64_t replay =
+            warm.warmff == 0 ? gap : std::min(warm.warmff, gap);
+        const std::uint64_t skip = start - replay - pos;
+        if (emu.fastForward(skip) != skip)
+            fatal("functional warming: plan position ", start,
+                  " is past the program's end");
+        FunctionalWarmer warmer(warm);
+        emu.setFfObserver(&warmer);
+        const std::uint64_t warmed = emu.fastForward(replay);
+        emu.setFfObserver(nullptr);
+        if (warmed != replay)
+            fatal("functional warming: plan position ", start,
+                  " is past the program's end");
+        out.push_back(warmer.capture());
+        pos = start;
+        gap_start = start + detail;
+    }
+    return out;
 }
 
 std::shared_ptr<const SampleCkpts>
@@ -381,7 +504,8 @@ CkptStore::buildPlan(const std::string &key_text, const CkptKey &key,
 
     bool have_meta =
         disk_.load(hash, ".json", [&](const std::string &bytes) {
-            return decodeMeta(bytes, key_text, *plan);
+            return decodeMeta(bytes, key_text, key.warmup + key.window,
+                              *plan);
         });
     if (have_meta) {
         // Load each snapshot; regenerate any miss by fast-forwarding
@@ -461,6 +585,18 @@ CkptStore::acquire(const CkptKey &key, const Program &program)
     return out;
 }
 
+std::shared_ptr<const WarmStates>
+CkptStore::acquireWarm(const CkptKey &key, const SampleCkpts &plan,
+                       const Program &program, const WarmKey &warm)
+{
+    return warm_.get(
+        ckptKeyText(key, rev_) + warmKeyText(warm),
+        [&] {
+            return std::make_shared<const WarmStates>(
+                generateWarmStates(key, plan, program, warm));
+        });
+}
+
 CkptStore::Stats
 CkptStore::stats() const
 {
@@ -471,6 +607,7 @@ CkptStore::stats() const
     s.corrupt = disk.corrupt;
     s.evicted = disk.evicted;
     s.coalesced = memory.coalesced;
+    s.warmPasses = warm_.stats().owned;
     return s;
 }
 

@@ -6,31 +6,36 @@
  * of a (workload, sampling plan) pair replays the *identical*
  * functional emulation before each measured window.  The library
  * computes that emulation once, snapshots the EmuArchState at every
- * interval boundary (the start of each period's detailed phase, plus
- * the architectural end of the program), and serves the snapshots to
- * every subsequent sampled run of the same key — across configs,
- * across budgets, across threads, and (with DRSIM_CKPT_DIR set)
- * across processes.
+ * interval boundary (the detail start of each period's detailed
+ * phase, plus the architectural end of the program), and serves the
+ * snapshots to every subsequent sampled run of the same key — across
+ * configs, across budgets, across threads, and (with DRSIM_CKPT_DIR
+ * set) across processes.
  *
  * Keys deliberately exclude every CoreConfig field: the snapshots are
  * purely architectural, so two different machine configurations of
- * the same workload and sampling spec share entries.  Functional
- * warming preserves that independence: the snapshots sit at each
- * window's *warm-start* position (detail start minus the replay
- * horizon), and every sweep point replays the same architectural
- * stream into its own caches and branch predictor at restore time.
- * A key is
+ * the same workload and sampling spec share entries.  A key is
  *
  *     (library rev, workload name, programDigest, interval, window,
- *      warmup, warmff)
+ *      warmup)
  *
- * canonicalized to text and FNV-1a hashed.
+ * canonicalized to text and FNV-1a hashed.  The functional-warming
+ * horizon (warmff) is not in it: it moves no detail start.
+ *
+ * Functional warming is live-point style: beside each plan the
+ * library keeps, per warm key (WarmKey — the few CoreConfig fields the
+ * warming replay reads, plus warmff), every window's WarmState — the
+ * cache tag state and predictor image that replaying the warming
+ * stretch leaves at the detail start.  One functional pass per
+ * (plan, warm key) produces them; a window task then restores a
+ * snapshot and a warm state instead of replaying its gap.  Warm
+ * states live only in the memory tier: they cost a few milliseconds
+ * per workload to regenerate and about 12 KB per window to keep.
  *
  * On-disk layout under DRSIM_CKPT_DIR:
  *
  *     <dir>/<hh>/<hash>.json           meta: key text, arch length,
- *                                      checkpointed positions and
- *                                      detail starts
+ *                                      checkpointed detail starts
  *     <dir>/<hh>/<hash>.p<pos>.bin     one EmuArchState per position
  *
  * Storage is the shared content-addressed store's
@@ -53,6 +58,7 @@
 #include <vector>
 
 #include "common/content_store.hh"
+#include "core/processor.hh"
 #include "workloads/emulator.hh"
 
 namespace drsim {
@@ -79,9 +85,6 @@ struct CkptKey
     std::uint64_t interval = 0;
     std::uint64_t window = 0;
     std::uint64_t warmup = 0;
-    /** Functional-warming horizon (0 = the whole gap); part of the
-     *  key because it moves the warm-start snapshot positions. */
-    std::uint64_t warmff = 0;
 };
 
 /** Canonical key text for @p key at library version @p rev. */
@@ -99,40 +102,77 @@ SampleCkpts generateSampleCkpts(const CkptKey &key,
 
 /**
  * The checkpointed sampling plan for one key: the program's
- * architectural length and a snapshot at the *warm-start* position of
- * every detailed phase after the first (position 0 needs no snapshot —
- * it is reset state), plus one at the architectural end (the tail
- * task's restore point).  The warm start precedes the detailed phase
- * by the functional-warming horizon — min(warmff, gap), the whole gap
- * when warmff is 0 — so a restored window replays that stretch into
- * the configuration's caches and branch predictor before timing
- * begins.  Positions are deterministic functions of the sampling spec
- * and the program alone — budget- and config-independent — which is
- * what makes the entries reusable across a whole sweep.
+ * architectural length and a snapshot at the *detail start* of every
+ * detailed phase after the first (position 0 needs no snapshot — it
+ * is reset state), plus one at the architectural end (the tail task's
+ * restore point; shared with a detail start the program halts at).
+ * Positions are deterministic functions of the sampling spec and the
+ * program alone — budget- and config-independent — which is what
+ * makes the entries reusable across a whole sweep.
  */
 struct SampleCkpts
 {
     /** Instructions before the Halt (committing it makes the full-run
      *  committed count archLength + 1). */
     std::uint64_t archLength = 0;
-    /** Ascending checkpointed (warm-start) positions; the last equals
-     *  archLength. */
+    /** Ascending checkpointed positions; the last equals archLength,
+     *  and every earlier one is a detail start. */
     std::vector<std::uint64_t> positions;
     /** Snapshot at positions[i]. */
     std::vector<EmuArchState> states;
-    /**
-     * Detail-start position of the window restored from positions[i]
-     * (>= positions[i]; the difference is the warming replay).  One
-     * entry per interior checkpoint: detailStarts.size() is
-     * positions.size() - 1, except when the program halts exactly at
-     * a detail start whose replay is zero — then the final position
-     * doubles as both and the sizes are equal.
-     */
-    std::vector<std::uint64_t> detailStarts;
 
     /** Snapshot at exactly @p pos, or nullptr if not checkpointed. */
     const EmuArchState *stateAt(std::uint64_t pos) const;
 };
+
+/**
+ * The CoreConfig fields functional warming reads, plus the warming
+ * horizon: a window's WarmState is a function of these, the plan and
+ * the program alone.  Lockup and lockup-free data caches warm
+ * identically, so only "perfect or not" of CoreConfig::cacheKind
+ * matters; timing fields of the caches (latencies, MSHRs, write
+ * buffer) are never touched by warming.
+ */
+struct WarmKey
+{
+    /** A perfect data cache keeps no tag state. */
+    bool perfectDCache = false;
+    /** Geometry (sizeBytes, assoc, lineBytes) of each cache. */
+    std::uint32_t dcacheSize = 0;
+    std::uint32_t dcacheAssoc = 0;
+    std::uint32_t dcacheLine = 0;
+    std::uint32_t icacheSize = 0;
+    std::uint32_t icacheAssoc = 0;
+    std::uint32_t icacheLine = 0;
+    /** CoreConfig::predictor. */
+    std::string predictor;
+    /** SamplingConfig::warmff: warm the last min(warmff, gap)
+     *  instructions of each gap (the whole gap when 0). */
+    std::uint64_t warmff = 0;
+};
+
+/** The warm key of @p config (its sampling spec's warmff included). */
+WarmKey warmKeyFor(const CoreConfig &config);
+
+/** Canonical text of @p key (appended to the plan key's text). */
+std::string warmKeyText(const WarmKey &key);
+
+/**
+ * Per-window warm states of one (plan, warm key): element i is the
+ * machine state at the detail start positions[i], for every position
+ * below archLength.
+ */
+using WarmStates = std::vector<WarmState>;
+
+/**
+ * Run the functional warming pass for @p plan (the plan of @p key)
+ * under @p warm, with no caching: the store's generation backend,
+ * and the library-disabled path of the sampling driver.
+ */
+WarmStates generateWarmStates(const CkptKey &key,
+                              const SampleCkpts &plan,
+                              const Program &program,
+                              const WarmKey &warm);
 
 class CkptStore
 {
@@ -171,6 +211,15 @@ class CkptStore
      */
     AcquireOutcome acquire(const CkptKey &key, const Program &program);
 
+    /**
+     * The warm states of @p plan — the plan acquire(@p key) returned —
+     * under @p warm, generated once per (plan, warm key) in the memory
+     * tier and coalesced across concurrent callers.
+     */
+    std::shared_ptr<const WarmStates>
+    acquireWarm(const CkptKey &key, const SampleCkpts &plan,
+                const Program &program, const WarmKey &warm);
+
     struct Stats
     {
         /** Snapshots served from disk (hash-validated). */
@@ -189,6 +238,8 @@ class CkptStore
         std::uint64_t coalesced = 0;
         /** acquire() calls served from the in-memory tier. */
         std::uint64_t memoryHits = 0;
+        /** Functional warming passes run by acquireWarm(). */
+        std::uint64_t warmPasses = 0;
     };
     Stats stats() const;
 
@@ -202,9 +253,10 @@ class CkptStore
     std::string rev_;
     ContentStore disk_;
     Memory memory_;
+    MemoryTier<WarmStates> warm_;
     mutable std::mutex mutex_;
     /** hits, misses, stores, generated and memoryHits; the other
-     *  counters are disk_'s and memory_'s. */
+     *  counters are disk_'s, memory_'s and warm_'s. */
     Stats stats_;
 };
 

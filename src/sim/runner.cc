@@ -334,6 +334,7 @@ writePhaseSeconds(Writer &w, const char *key,
     w.key(key).beginObject();
     w.key("seconds").value(p.total);
     w.key("acquire_seconds").value(p.acquire);
+    w.key("restore_seconds").value(p.restore);
     w.key("warmup_seconds").value(p.warmup);
     w.key("window_seconds").value(p.window);
     w.endObject();

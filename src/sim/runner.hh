@@ -166,13 +166,16 @@ struct SampledSpeed
 
 /**
  * Per-phase wall-clock split of one sampled leg (from SampleProfile):
- * checkpoint acquisition (= the functional fast-forward cost, whether
- * generated or loaded), gated warm-ups, and measured windows.
+ * checkpoint and warm-state acquisition (= the functional
+ * fast-forward and warming cost, whether generated or loaded), window
+ * machine construction and restore, gated warm-ups, and measured
+ * windows.
  */
 struct SampledPhaseSeconds
 {
     double total = 0.0;
     double acquire = 0.0;
+    double restore = 0.0;
     double warmup = 0.0;
     double window = 0.0;
 };

@@ -126,20 +126,19 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 
 /**
  * One independent detailed phase of a sampled run (DESIGN.md §5j):
- * restore the checkpoint at @ref start, run a histogram-gated warm-up
- * of @ref warmTarget, then measure @ref winTarget committed
- * instructions.  The non-measured variant is the detailed tail that
- * commits the Halt.
+ * restore the checkpoint at @ref restore and the window's warm state,
+ * run a histogram-gated warm-up of @ref warmTarget, then measure
+ * @ref winTarget committed instructions.  The non-measured variant is
+ * the detailed tail that commits the Halt.
  */
 struct WindowTask
 {
-    /** Checkpoint position restored into the fresh machine
-     *  (0 = reset state, no snapshot needed). */
+    /** Detail start restored into the fresh machine (0 = reset state,
+     *  no snapshot needed). */
     std::uint64_t restore = 0;
-    /** Functional-warming replay (DESIGN.md §5j) between the restore
-     *  point and the detail start: architecturally executed into the
-     *  config's caches and branch predictor before timing begins. */
-    std::uint64_t replay = 0;
+    /** Functionally warmed caches and predictor at @ref restore
+     *  (nullptr = cold: the first window and the tail). */
+    const WarmState *warm = nullptr;
     std::uint64_t warmTarget = 0;
     std::uint64_t winTarget = 0;
     /** Contributes one window-IPC sample to the estimate. */
@@ -164,13 +163,13 @@ struct SamplePlan
 
 SamplePlan
 planWindows(const SamplingConfig &sc, const SampleCkpts &ckpts,
-            std::uint64_t budget)
+            const WarmStates &states, std::uint64_t budget)
 {
     SamplePlan plan;
     const std::uint64_t n = ckpts.archLength;
     std::uint64_t a = 0;
-    std::uint64_t pos = 0;      // detail start of the next phase
-    std::uint64_t restore = 0;  // checkpoint it restores from
+    std::uint64_t pos = 0;                 // detail start of the next phase
+    const WarmState *warm_state = nullptr; // its warm state
     std::size_t k = 0;
     const auto rem = [&] {
         return budget == 0 ? ~std::uint64_t{0}
@@ -186,8 +185,7 @@ planWindows(const SamplingConfig &sc, const SampleCkpts &ckpts,
         // initialization phase instead of fast-forwarding past it.
         const std::uint64_t warm = std::min(sc.warmup, rem());
         const std::uint64_t win = std::min(sc.window, rem() - warm);
-        plan.tasks.push_back({restore, pos - restore, warm, win,
-                              true});
+        plan.tasks.push_back({pos, warm_state, warm, win, true});
         const std::uint64_t d = std::min(warm + win, n + 1 - pos);
         a += d;
         pos += d;
@@ -203,12 +201,8 @@ planWindows(const SamplingConfig &sc, const SampleCkpts &ckpts,
         // placement (the jitter sequence lives in the checkpoint
         // generator), so serial, window-parallel, and
         // checkpoint-warm runs share identical plans by construction.
-        // The gap's tail — detail start minus warm start — is not
-        // skipped but replayed by the window task as functional
-        // warming; either way it advances the same instructions, so
-        // the budget accounting does not care about the split.
-        const bool have = k < ckpts.detailStarts.size();
-        const std::uint64_t next = have ? ckpts.detailStarts[k] : n;
+        // The final position is the architectural end.
+        const std::uint64_t next = ckpts.positions[k];
         if (next >= n) {
             const std::uint64_t gap = n - pos;
             if (rem() < gap) {
@@ -223,8 +217,8 @@ planWindows(const SamplingConfig &sc, const SampleCkpts &ckpts,
                 break;
             }
             // Detailed tail: restore at the architectural end and
-            // commit the Halt (ungated, not a measured window).
-            plan.tasks.push_back({n, 0, 0, 1, false});
+            // commit the Halt (ungated, cold, not a measured window).
+            plan.tasks.push_back({n, nullptr, 0, 1, false});
             a += 1;
             break;
         }
@@ -236,7 +230,7 @@ planWindows(const SamplingConfig &sc, const SampleCkpts &ckpts,
         }
         a += gap;
         pos = next;
-        restore = ckpts.positions[k];
+        warm_state = &states.at(k);
         ++k;
     }
     plan.advanced = a;
@@ -255,6 +249,7 @@ struct WindowOutcome
     std::uint64_t windowCommitted = 0;
     Cycle windowCycles = 0;
     StopReason stop = StopReason::Running;
+    double restoreSeconds = 0.0;
     double warmSeconds = 0.0;
     double windowSeconds = 0.0;
 };
@@ -268,6 +263,7 @@ runWindowTask(const CoreConfig &detail, const Program &program,
     // construction overload skips the initial-image build, so a window
     // task's setup cost is one bulk snapshot copy rather than three
     // passes over the data segment (zero-fill, image build, restore).
+    const auto restore0 = std::chrono::steady_clock::now();
     const EmuArchState *state = nullptr;
     if (task.restore != 0) {
         state = ckpts.stateAt(task.restore);
@@ -279,14 +275,11 @@ runWindowTask(const CoreConfig &detail, const Program &program,
     Processor proc = state != nullptr
                          ? Processor(detail, program, *state)
                          : Processor(detail, program);
+    if (task.warm != nullptr)
+        proc.restoreWarmState(*task.warm);
+    out.restoreSeconds = secondsSince(restore0);
 
     const auto warm0 = std::chrono::steady_clock::now();
-    if (task.replay > 0 &&
-        proc.warmFastForward(task.replay) != task.replay) {
-        fatal("functional warming ended early: plan expected ",
-              task.replay, " instructions after position ",
-              task.restore);
-    }
     if (task.warmTarget > 0) {
         proc.setStatsGate(true);
         proc.runDetailed(task.warmTarget);
@@ -320,7 +313,8 @@ runWindowTask(const CoreConfig &detail, const Program &program,
  * window-parallel (DESIGN.md §5j).  The run decomposes into three
  * phases: acquire the checkpointed interval plan from the library
  * (generated once per (workload, sampling spec), shared across a
- * sweep), derive the detailed window tasks from it under the
+ * sweep) with its per-window warm states (generated once per warm
+ * key), derive the detailed window tasks from it under the
  * instruction budget, and run every task on an independent Processor.
  * Tasks write indexed outcome slots that are merged in plan order, so
  * the combined SampledStats is bit-identical whether the tasks ran
@@ -342,26 +336,33 @@ runOneSampled(const CoreConfig &config, const Program &program,
 
     SampleProfile prof;
 
-    // Phase 1: acquire the checkpoint plan.
+    // Phase 1: acquire the checkpoint plan and its warm states.
     const auto acq0 = std::chrono::steady_clock::now();
+    const CkptKey key = ckptKeyFor(name, program, sc);
+    const WarmKey warm_key = warmKeyFor(config);
     std::shared_ptr<const SampleCkpts> ckpts;
+    std::shared_ptr<const WarmStates> warm;
     if (policy.useCkptLibrary) {
-        CkptStore::AcquireOutcome got = ckptLibrary().acquire(
-            ckptKeyFor(name, program, sc), program);
+        CkptStore &library = ckptLibrary();
+        CkptStore::AcquireOutcome got = library.acquire(key, program);
         ckpts = got.plan;
         prof.ckptHits = got.diskHits;
         prof.ckptGenerated = got.generated;
         prof.ckptFromMemory = got.fromMemory;
+        warm = library.acquireWarm(key, *ckpts, program, warm_key);
     } else {
-        // Library disabled (bench baseline): private cold plan.
-        ckpts = std::make_shared<SampleCkpts>(generateSampleCkpts(
-            ckptKeyFor(name, program, sc), program));
+        // Library disabled (bench baseline): private cold plan and
+        // warm states.
+        ckpts = std::make_shared<SampleCkpts>(
+            generateSampleCkpts(key, program));
         prof.ckptGenerated = ckpts->states.size();
+        warm = std::make_shared<WarmStates>(
+            generateWarmStates(key, *ckpts, program, warm_key));
     }
     prof.acquireSeconds = secondsSince(acq0);
 
     // Phase 2: derive the window tasks.
-    const SamplePlan plan = planWindows(sc, *ckpts, budget);
+    const SamplePlan plan = planWindows(sc, *ckpts, *warm, budget);
 
     // Phase 3: run the tasks.  Results land in indexed slots, so the
     // execution policy can never affect the merged statistics.
@@ -433,6 +434,7 @@ runOneSampled(const CoreConfig &config, const Program &program,
             o.stop != StopReason::Running &&
             o.stop != StopReason::Halted)
             anomaly = o.stop;
+        prof.restoreSeconds += o.restoreSeconds;
         prof.warmupSeconds += o.warmSeconds;
         prof.windowSeconds += o.windowSeconds;
     }

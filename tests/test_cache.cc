@@ -254,6 +254,56 @@ TEST(ICache, SmallLoopStaysResident)
     EXPECT_EQ(icache.misses(), 4u);
 }
 
+TEST(Cache, WarmStateRestoresTagsAndRecency)
+{
+    const CacheConfig cfg = smallConfig(); // 16 sets
+    const Addr a = 0;
+    const Addr b = 16 * 32;     // same set, next tag
+    const Addr c = 2 * 16 * 32; // same set, next tag
+    DataCache warmed(CacheKind::LockupFree, cfg);
+    warmed.warmLoad(a);
+    warmed.warmLoad(b);
+    warmed.warmStore(a); // a becomes the most recent
+    warmed.warmLoad(64); // another set
+    warmed.finishWarm();
+    const CacheWarmState state = warmed.warmState();
+    ASSERT_EQ(state.size(), 3u);
+
+    DataCache restored(CacheKind::LockupFree, cfg);
+    restored.restoreWarmState(state);
+    EXPECT_EQ(restored.warmState(), state);
+    // Both caches now make the same decisions: c evicts b, the
+    // least recently warmed line of the set, and a stays.
+    for (DataCache *cache : {&warmed, &restored}) {
+        EXPECT_FALSE(cache->load(c, 10, 1).hit);
+        EXPECT_TRUE(cache->load(a, 40, 2).hit);
+        EXPECT_FALSE(cache->load(b, 50, 3).hit);
+        EXPECT_TRUE(cache->load(64, 90, 4).hit);
+    }
+    EXPECT_EQ(restored.stats().loadMisses, warmed.stats().loadMisses);
+
+    // A perfect cache keeps no tags: its warm state is empty.
+    DataCache perfect(CacheKind::Perfect, cfg);
+    perfect.warmLoad(a);
+    perfect.finishWarm();
+    EXPECT_TRUE(perfect.warmState().empty());
+}
+
+TEST(ICache, WarmStateRoundTrips)
+{
+    InstCache warmed(smallConfig());
+    for (Addr line = 0; line < 4; ++line)
+        warmed.warmFetch(0x1000 + line * 32);
+    warmed.warmFetch(0x1000);
+    warmed.finishWarm();
+    InstCache restored(smallConfig());
+    restored.restoreWarmState(warmed.warmState());
+    EXPECT_EQ(restored.warmState(), warmed.warmState());
+    for (Addr line = 0; line < 4; ++line)
+        EXPECT_EQ(restored.fetch(0x1000 + line * 32, 100), 100u);
+    EXPECT_EQ(restored.misses(), 0u);
+}
+
 class CacheGeometryTest
     : public ::testing::TestWithParam<std::tuple<int, int>>
 {};

@@ -7,6 +7,7 @@
  *   drsim run --workload compress --regs 80
  *   drsim run --workload classic:queens --width 8 --model imprecise
  *   drsim run --workload tomcatv --trace trace.txt --max-committed 2000
+ *   drsim run --workload su2cor --scale 30 --sample 40000:1000:4000
  *   drsim run --help
  *
  * The configuration is screened by requireFeasibleConfig() like every
@@ -23,6 +24,7 @@
 #include "common/logging.hh"
 #include "core/config_check.hh"
 #include "core/processor.hh"
+#include "exp/registry.hh"
 #include "sim/options.hh"
 #include "sim/simulator.hh"
 #include "timing/regfile_timing.hh"
@@ -86,6 +88,39 @@ report(const Processor &proc, const CoreConfig &cfg)
                 bipsEstimate(s.commitIpc(), t.cycleNs));
 }
 
+/** The summary of an interval-sampled run (DESIGN.md §5h). */
+void
+reportSampled(const SimResult &r, const CoreConfig &cfg)
+{
+    const SampledStats &s = r.sampled;
+    std::printf("------------ sampled run summary ------------\n");
+    std::printf("%-26s %s\n", "stop reason",
+                r.stopReason == StopReason::Halted ? "program halted"
+                                                   : "instruction limit");
+    std::printf("%-26s %llu:%llu:%llu:%llu\n",
+                "sampling (I:W:U:warmff)",
+                (unsigned long long)cfg.sampling.interval,
+                (unsigned long long)cfg.sampling.window,
+                (unsigned long long)cfg.sampling.warmup,
+                (unsigned long long)cfg.sampling.warmff);
+    std::printf("%-26s %llu\n", "measured windows",
+                (unsigned long long)s.windows);
+    std::printf("%-26s %.3f +/- %.3f\n", "commit IPC estimate (95%)",
+                s.ipcEstimate, s.ci95);
+    std::printf("%-26s %llu measured, %llu warm-up\n",
+                "detailed instructions",
+                (unsigned long long)s.measuredInsts,
+                (unsigned long long)s.warmupInsts);
+    std::printf("%-26s %llu\n", "fast-forwarded",
+                (unsigned long long)s.fastForwarded);
+    std::printf("%-26s %.2f%% of %llu\n", "load miss rate",
+                100.0 * r.loadMissRate,
+                (unsigned long long)r.proc.executedLoads);
+    std::printf("%-26s %.2f%% of %llu\n", "cbr mispredict rate",
+                100.0 * r.mispredictRate(),
+                (unsigned long long)r.proc.executedCondBranches);
+}
+
 } // namespace
 
 Program
@@ -129,6 +164,7 @@ drsim::tools::runVerb(int argc, const char *const *argv)
     bool no_spec_history = false;
     bool perfect_icache = false;
     std::string trace_file;
+    std::string sample;
 
     OptionParser p;
     p.addString("workload", &workload,
@@ -163,9 +199,27 @@ drsim::tools::runVerb(int argc, const char *const *argv)
               "model every instruction fetch as a hit");
     p.addString("trace", &trace_file,
                 "write a per-instruction pipeline trace to this file");
+    p.addString("sample", &sample,
+                "I[:W[:U[:F]]] interval-sampled run: print the sampled "
+                "IPC estimate instead of a full-detail run "
+                "($DRSIM_SAMPLE; same spec as drsim bench --sample)");
 
+    SamplingConfig sampling = exp::samplingFromEnv();
     if (const auto rc = p.parseCommandLine(argc, argv, "drsim run"))
         return *rc;
+    if (!sample.empty()) {
+        try {
+            sampling = exp::parseSamplingSpec(sample);
+        } catch (const FatalError &e) {
+            std::fprintf(stderr, "drsim run: %s\n", e.what());
+            return 2;
+        }
+    }
+    if (sampling.enabled() && !trace_file.empty()) {
+        std::fprintf(stderr, "drsim run: --trace needs a full-detail "
+                             "run (drop --sample / DRSIM_SAMPLE)\n");
+        return 2;
+    }
 
     CoreConfig cfg;
     cfg.issueWidth = int(width);
@@ -196,6 +250,7 @@ drsim::tools::runVerb(int argc, const char *const *argv)
     cfg.storeToLoadForwarding = !no_forwarding;
     cfg.speculativeHistoryUpdate = !no_spec_history;
     cfg.perfectICache = perfect_icache;
+    cfg.sampling = sampling;
     requireFeasibleConfig(cfg, workload);
 
     const Program prog =
@@ -206,6 +261,10 @@ drsim::tools::runVerb(int argc, const char *const *argv)
                 (long long)width, cfg.dqSize, (long long)regs,
                 model.c_str(), cache.c_str());
 
+    if (cfg.sampling.enabled()) {
+        reportSampled(simulateProgram(cfg, prog), cfg);
+        return 0;
+    }
     verifyProgram(prog);
     Processor proc(cfg, prog);
     std::ofstream trace_os;
