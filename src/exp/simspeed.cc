@@ -4,7 +4,7 @@
  * simulated MIPS (committed instructions per wall-clock second) of
  * the detailed core for every Table-1 workload, then the same
  * workloads sampled and checkpoint-warm parallel-sampled.  Writes
- * BENCH_simspeed.json ("simspeed-v2", see docs/RESULTS_SCHEMA.md);
+ * BENCH_simspeed.json ("simspeed-v3", see docs/RESULTS_SCHEMA.md);
  * the committed baseline of that file is what CI's regression gate
  * compares against.
  *
@@ -254,7 +254,6 @@ measureParallelSampled(SpeedRunInfo &info, const CoreConfig &full_cfg,
         s.warm.restore = res.profile.restoreSeconds;
         s.warm.warmup = res.profile.warmupSeconds;
         s.warm.window = res.profile.windowSeconds;
-        s.ckptHits = res.profile.ckptHits;
         s.ckptGenerated = res.profile.ckptGenerated;
         s.windowJobs = res.profile.windowJobs;
 

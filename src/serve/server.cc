@@ -405,11 +405,6 @@ Server::handleStats(int fd)
     w.key("cache_corrupt").value(c.corrupt);
     w.key("cache_stores").value(c.stores);
     w.key("cache_evicted").value(c.evicted);
-    w.key("ckpt_hits").value(k.hits);
-    w.key("ckpt_misses").value(k.misses);
-    w.key("ckpt_corrupt").value(k.corrupt);
-    w.key("ckpt_stores").value(k.stores);
-    w.key("ckpt_evicted").value(k.evicted);
     w.key("ckpt_generated").value(k.generated);
     w.key("ckpt_coalesced").value(k.coalesced);
     w.key("ckpt_memory_hits").value(k.memoryHits);

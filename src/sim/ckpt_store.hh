@@ -9,18 +9,16 @@
  * interval boundary (the detail start of each period's detailed
  * phase, plus the architectural end of the program), and serves the
  * snapshots to every subsequent sampled run of the same key — across
- * configs, across budgets, across threads, and (with DRSIM_CKPT_DIR
- * set) across processes.
+ * configs, across budgets and across threads of one process.
  *
  * Keys deliberately exclude every CoreConfig field: the snapshots are
  * purely architectural, so two different machine configurations of
  * the same workload and sampling spec share entries.  A key is
  *
- *     (library rev, workload name, programDigest, interval, window,
- *      warmup)
+ *     (workload name, programDigest, interval, window, warmup)
  *
- * canonicalized to text and FNV-1a hashed.  The functional-warming
- * horizon (warmff) is not in it: it moves no detail start.
+ * canonicalized to text.  The functional-warming horizon (warmff) is
+ * not in it: it moves no detail start.
  *
  * Functional warming is live-point style: beside each plan the
  * library keeps, per warm key (WarmKey — the few CoreConfig fields the
@@ -28,24 +26,14 @@
  * cache tag state and predictor image that replaying the warming
  * stretch leaves at the detail start.  One functional pass per
  * (plan, warm key) produces them; a window task then restores a
- * snapshot and a warm state instead of replaying its gap.  Warm
- * states live only in the memory tier: they cost a few milliseconds
- * per workload to regenerate and about 12 KB per window to keep.
+ * snapshot and a warm state instead of replaying its gap.
  *
- * On-disk layout under DRSIM_CKPT_DIR:
- *
- *     <dir>/<hh>/<hash>.json           meta: key text, arch length,
- *                                      checkpointed detail starts
- *     <dir>/<hh>/<hash>.p<pos>.bin     one EmuArchState per position
- *
- * Storage is the shared content-addressed store's
- * (common/content_store.hh): its memory tier coalesces concurrent
- * generation of one key, and DRSIM_CKPT_MAX_BYTES trims the directory
- * once after each generated plan.  This module owns the key text and
- * the two encodings.  Every .bin carries the snapshot's
- * archStateHash(), validated on load; a corrupt or missing snapshot
- * is recomputed from the nearest earlier good checkpoint (or reset)
- * and re-stored, so corruption can cost time, never correctness.
+ * Plans and warm states live in memory only, each in a coalescing
+ * MemoryTier (common/content_store.hh): concurrent requests for one
+ * key run one generation and share its result.  Nothing persists
+ * across processes: regenerating a plan or a warm pass costs a few
+ * milliseconds per workload at every scale drsim runs, and a warm
+ * state takes about 12 KB per window to keep.
  */
 
 #ifndef DRSIM_SIM_CKPT_STORE_HH
@@ -53,7 +41,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -65,14 +52,6 @@ namespace drsim {
 
 class Program;
 struct SamplingConfig;
-
-/**
- * Checkpoint library code version, folded into every key.  Bump when
- * the snapshot format or the interval-boundary placement changes;
- * DRSIM_CKPT_REV overrides it (invalidation tests, operators pinning
- * a library).
- */
-std::string ckptRev();
 
 /** The inputs identifying one checkpointed sampling plan. */
 struct CkptKey
@@ -87,8 +66,8 @@ struct CkptKey
     std::uint64_t warmup = 0;
 };
 
-/** Canonical key text for @p key at library version @p rev. */
-std::string ckptKeyText(const CkptKey &key, const std::string &rev);
+/** Canonical key text for @p key. */
+std::string ckptKeyText(const CkptKey &key);
 
 struct SampleCkpts;
 
@@ -178,24 +157,17 @@ class CkptStore
 {
   public:
     /**
-     * Open a checkpoint store.  An empty @p dir disables the disk
-     * tier (the in-memory tier still amortizes generation within the
-     * process).  @p max_bytes of ~0 defers to DRSIM_CKPT_MAX_BYTES
-     * (0 = unbounded).
+     * An empty library.  @p retired_dir is the retired disk-tier
+     * directory: it must be empty, and anything else is fatal().
+     * Kept only so existing callers of CkptStore("") compile; it goes
+     * away with them.
      */
-    explicit CkptStore(std::string dir, std::string rev = ckptRev(),
-                       std::uint64_t max_bytes = ~std::uint64_t{0});
-
-    /** Snapshot-file path for @p key at @p pos ("" when disk off). */
-    std::string statePath(const CkptKey &key,
-                          std::uint64_t pos) const;
+    explicit CkptStore(const std::string &retired_dir = "");
 
     /** Provenance of one acquire() (phase-timing telemetry). */
     struct AcquireOutcome
     {
         std::shared_ptr<const SampleCkpts> plan;
-        /** Snapshots loaded (and hash-validated) from disk. */
-        std::uint64_t diskHits = 0;
         /** Snapshots produced by functional emulation. */
         std::uint64_t generated = 0;
         /** Whole plan was already resident in memory. */
@@ -206,15 +178,15 @@ class CkptStore
 
     /**
      * Return the checkpointed plan for @p key, generating it (once,
-     * coalesced across concurrent callers) if neither tier has it.
+     * coalesced across concurrent callers) if it is not resident.
      * @p program must be the program @p key.digest was computed from.
      */
     AcquireOutcome acquire(const CkptKey &key, const Program &program);
 
     /**
      * The warm states of @p plan — the plan acquire(@p key) returned —
-     * under @p warm, generated once per (plan, warm key) in the memory
-     * tier and coalesced across concurrent callers.
+     * under @p warm, generated once per (plan, warm key) and coalesced
+     * across concurrent callers.
      */
     std::shared_ptr<const WarmStates>
     acquireWarm(const CkptKey &key, const SampleCkpts &plan,
@@ -222,21 +194,11 @@ class CkptStore
 
     struct Stats
     {
-        /** Snapshots served from disk (hash-validated). */
-        std::uint64_t hits = 0;
-        /** Snapshots that had to be generated by emulation. */
-        std::uint64_t misses = 0;
-        /** Snapshot/meta files rejected by validation. */
-        std::uint64_t corrupt = 0;
-        /** Snapshot files written. */
-        std::uint64_t stores = 0;
-        /** Files removed by the LRU byte cap. */
-        std::uint64_t evicted = 0;
-        /** Keys generated (fully or partially) by emulation. */
+        /** Plans generated by emulation. */
         std::uint64_t generated = 0;
         /** acquire() calls that waited on a concurrent generation. */
         std::uint64_t coalesced = 0;
-        /** acquire() calls served from the in-memory tier. */
+        /** acquire() calls served from memory (coalesced included). */
         std::uint64_t memoryHits = 0;
         /** Functional warming passes run by acquireWarm(). */
         std::uint64_t warmPasses = 0;
@@ -246,28 +208,11 @@ class CkptStore
   private:
     using Memory = MemoryTier<SampleCkpts>;
 
-    std::shared_ptr<const SampleCkpts>
-    buildPlan(const std::string &key_text, const CkptKey &key,
-              const Program &program, AcquireOutcome &out);
-
-    std::string rev_;
-    ContentStore disk_;
     Memory memory_;
     MemoryTier<WarmStates> warm_;
-    mutable std::mutex mutex_;
-    /** hits, misses, stores, generated and memoryHits; the other
-     *  counters are disk_'s, memory_'s and warm_'s. */
-    Stats stats_;
 };
 
-/**
- * The process-global checkpoint library the sampling driver uses,
- * configured from DRSIM_CKPT_DIR / DRSIM_CKPT_MAX_BYTES /
- * DRSIM_CKPT_REV.  The instance is rebuilt (dropping the in-memory
- * tier) when those variables change between calls — tests use this to
- * flip between cold and warm; changing them while simulations are in
- * flight is unsupported.
- */
+/** The process-global checkpoint library the sampling driver uses. */
 CkptStore &ckptLibrary();
 
 /** Build the key for @p program under @p sampling. */

@@ -356,7 +356,7 @@ simspeedJson(const SpeedRunInfo &info,
         fatal("simspeedJson needs at least one sample");
     Writer w(Writer::Style::Pretty);
     w.beginObject();
-    w.key("schema").value("simspeed-v2");
+    w.key("schema").value("simspeed-v3");
     w.key("scale").value(info.scale);
     w.key("max_committed").value(info.maxCommitted);
     w.key("reps").value(info.reps);
@@ -437,7 +437,6 @@ simspeedJson(const SpeedRunInfo &info,
             w.key("name").value(s.workload);
             writePhaseSeconds(w, "baseline", s.baseline);
             writePhaseSeconds(w, "warm", s.warm);
-            w.key("ckpt_hits").value(s.ckptHits);
             w.key("ckpt_generated").value(s.ckptGenerated);
             w.key("window_jobs").value(s.windowJobs);
             writeSpeedup(w, s.baseline.total, s.warm.total);

@@ -196,8 +196,7 @@ struct ParallelSampledSample
     SampledPhaseSeconds baseline;
     /** Checkpoint-warm, windows fanned out over the pool. */
     SampledPhaseSeconds warm;
-    /** Snapshots the warm leg loaded / had to generate. */
-    std::uint64_t ckptHits = 0;
+    /** Snapshots the warm leg had to generate. */
     std::uint64_t ckptGenerated = 0;
     /** Worker count the warm leg's windows used. */
     int windowJobs = 1;
@@ -247,7 +246,7 @@ struct SpeedRunInfo
 };
 
 /**
- * Serialize speed samples to the "simspeed-v2" schema documented in
+ * Serialize speed samples to the "simspeed-v3" schema documented in
  * docs/RESULTS_SCHEMA.md.  Unlike resultsJson() this file carries
  * wall-clock times and is *not* byte-deterministic across runs; the
  * derived speedup ratios are the comparable quantity.

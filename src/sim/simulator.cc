@@ -346,7 +346,6 @@ runOneSampled(const CoreConfig &config, const Program &program,
         CkptStore &library = ckptLibrary();
         CkptStore::AcquireOutcome got = library.acquire(key, program);
         ckpts = got.plan;
-        prof.ckptHits = got.diskHits;
         prof.ckptGenerated = got.generated;
         prof.ckptFromMemory = got.fromMemory;
         warm = library.acquireWarm(key, *ckpts, program, warm_key);

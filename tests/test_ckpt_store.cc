@@ -3,16 +3,12 @@
  * Tests for the content-addressed checkpoint library (DESIGN.md §5j)
  * and the window-parallel sampling driver built on it: bit-identical
  * sampled statistics across execution policies (serial, 2-way, 8-way
- * windows) and across cold/warm library states, corrupt-entry and
- * rev-bump recompute, config-independent keys shared across a sweep,
- * the DRSIM_CKPT_MAX_BYTES eviction policy, the warm-state key, and
- * the frozen verdicts of the per-window warming replay the restored
- * warm states replaced.
+ * windows) and across cold and warm memory-tier states,
+ * config-independent keys shared across a sweep, the warm-state key,
+ * and the frozen verdicts of the per-window warming replay the
+ * restored warm states replaced.
  */
 
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <gtest/gtest.h>
 #include <map>
 #include <string>
@@ -21,6 +17,7 @@
 #include <vector>
 
 #include "bpred/predictor.hh"
+#include "common/logging.hh"
 #include "exp/registry.hh"
 #include "serve/result_io.hh"
 #include "sim/ckpt_store.hh"
@@ -32,58 +29,6 @@ namespace drsim {
 namespace {
 
 using exp::parseSamplingSpec;
-
-/** Self-deleting scratch directory for library tests. */
-class TmpDir
-{
-  public:
-    explicit TmpDir(const char *tag)
-    {
-        path_ = std::filesystem::temp_directory_path() /
-                ("drsim_ckpt_test_" + std::string(tag) + "_" +
-                 std::to_string(::getpid()));
-        std::filesystem::remove_all(path_);
-        std::filesystem::create_directories(path_);
-    }
-    ~TmpDir()
-    {
-        std::error_code ec;
-        std::filesystem::remove_all(path_, ec);
-    }
-    std::string str() const { return path_.string(); }
-
-  private:
-    std::filesystem::path path_;
-};
-
-/** Scoped environment-variable override (nullptr = unset). */
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        had_ = old != nullptr;
-        if (had_)
-            old_ = old;
-        if (value != nullptr)
-            setenv(name, value, 1);
-        else
-            unsetenv(name);
-    }
-    ~EnvGuard()
-    {
-        if (had_)
-            setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    bool had_;
-    std::string old_;
-};
 
 /** Restore the process-global execution policy on scope exit. */
 class PolicyGuard
@@ -108,8 +53,6 @@ sampledConfig(int regs = 96)
 
 TEST(CkptSampling, WindowPolicyAndThreadCountAreByteIdentical)
 {
-    // No disk tier: this isolates the window-task decomposition.
-    EnvGuard dir("DRSIM_CKPT_DIR", nullptr);
     PolicyGuard restore;
     const Workload w = buildWorkload("espresso", 2);
     const CoreConfig cfg = sampledConfig();
@@ -140,7 +83,6 @@ TEST(CkptSampling, EveryPredictorBackendRoundTripsThroughWindows)
     // replaying the architectural branch stream (shiftHistory), so
     // every backend — whatever its table shape — must come out of a
     // window-parallel run byte-identical to the serial driver.
-    EnvGuard dir("DRSIM_CKPT_DIR", nullptr);
     PolicyGuard restore;
     const Workload w = buildWorkload("espresso", 2);
 
@@ -166,38 +108,37 @@ TEST(CkptSampling, EveryPredictorBackendRoundTripsThroughWindows)
     }
 }
 
-TEST(CkptSampling, ColdAndWarmDiskRunsAreByteIdentical)
+TEST(CkptSampling, ColdAndWarmMemoryRunsAreByteIdentical)
 {
-    TmpDir dir("coldwarm");
+    // A sampling spec no other test uses, so the first run finds the
+    // process-global library cold even when every test shares one
+    // process.
     PolicyGuard restore;
     setSamplingExecPolicy(SamplingExecPolicy{});
     const Workload w = buildWorkload("gcc1", 2);
-    const CoreConfig cfg = sampledConfig();
+    CoreConfig cfg = sampledConfig();
+    cfg.sampling = parseSamplingSpec("3100:200:400:500");
 
-    EnvGuard rev("DRSIM_CKPT_REV", nullptr);
-    EnvGuard cap("DRSIM_CKPT_MAX_BYTES", nullptr);
-    EnvGuard on("DRSIM_CKPT_DIR", dir.str().c_str());
     const SimResult cold = simulate(cfg, w);
     ASSERT_TRUE(cold.sampled.enabled);
     EXPECT_GT(cold.profile.ckptGenerated, 0u);
+    EXPECT_FALSE(cold.profile.ckptFromMemory);
 
-    // Changing any library environment variable rebuilds the global
-    // instance and drops its memory tier, so the next run must load
-    // every snapshot from disk — the cross-process warm path.  (A
-    // huge cap is behaviorally identical to the unbounded default but
-    // changes the instance signature.)
-    EnvGuard recap("DRSIM_CKPT_MAX_BYTES", "1000000000000");
     const SimResult warm = simulate(cfg, w);
-    EXPECT_GT(warm.profile.ckptHits, 0u);
+    EXPECT_TRUE(warm.profile.ckptFromMemory);
     EXPECT_EQ(warm.profile.ckptGenerated, 0u);
     EXPECT_EQ(serve::pointRecordJson(warm),
               serve::pointRecordJson(cold));
 }
 
+TEST(CkptStore, RetiredDiskDirectoryIsFatal)
+{
+    EXPECT_THROW(CkptStore("ckpt-dir"), FatalError);
+    EXPECT_NO_THROW(CkptStore(""));
+}
+
 TEST(CkptSampling, KeyIsConfigIndependentAndSharedAcrossSweep)
 {
-    EnvGuard dir("DRSIM_CKPT_DIR", nullptr);
-    EnvGuard rev("DRSIM_CKPT_REV", nullptr);
     PolicyGuard restore;
     setSamplingExecPolicy(SamplingExecPolicy{});
     const Workload w = buildWorkload("doduc", 2);
@@ -208,18 +149,18 @@ TEST(CkptSampling, KeyIsConfigIndependentAndSharedAcrossSweep)
     CoreConfig other = sampledConfig(48);
     other.dcache.sizeBytes = 16 * 1024;
     const CkptKey b = ckptKeyFor("doduc", w.program, other.sampling);
-    EXPECT_EQ(ckptKeyText(a, "r"), ckptKeyText(b, "r"));
+    EXPECT_EQ(ckptKeyText(a), ckptKeyText(b));
 
     // ...and the sampling spec's stride fields, but not the warming
     // horizon: warmff moves no detail start, only the warm states.
     SamplingConfig bumped = other.sampling;
     bumped.warmup = other.sampling.warmup + 1;
     const CkptKey c = ckptKeyFor("doduc", w.program, bumped);
-    EXPECT_NE(ckptKeyText(a, "r"), ckptKeyText(c, "r"));
+    EXPECT_NE(ckptKeyText(a), ckptKeyText(c));
     SamplingConfig horizon = other.sampling;
     horizon.warmff = other.sampling.warmff + 1;
     const CkptKey d = ckptKeyFor("doduc", w.program, horizon);
-    EXPECT_EQ(ckptKeyText(a, "r"), ckptKeyText(d, "r"));
+    EXPECT_EQ(ckptKeyText(a), ckptKeyText(d));
 
     // Two different machine configurations of one workload share one
     // entry: the second sweep point never regenerates.
@@ -233,148 +174,11 @@ TEST(CkptSampling, KeyIsConfigIndependentAndSharedAcrossSweep)
     EXPECT_EQ(first.sampled.windows, second.sampled.windows);
 }
 
-TEST(CkptStore, CorruptSnapshotRecomputesAndRestores)
-{
-    TmpDir dir("corrupt");
-    const Workload w = buildWorkload("compress", 2);
-    const CkptKey key =
-        ckptKeyFor("compress", w.program, sampledConfig().sampling);
-
-    CkptStore first(dir.str());
-    const CkptStore::AcquireOutcome gen = first.acquire(key, w.program);
-    ASSERT_GT(gen.generated, 0u);
-    ASSERT_GE(gen.plan->positions.size(), 2u);
-
-    // Flip bytes in the middle of one snapshot file.
-    const std::uint64_t pos = gen.plan->positions[0];
-    const std::string victim = first.statePath(key, pos);
-    ASSERT_TRUE(std::filesystem::exists(victim));
-    {
-        std::fstream f(victim,
-                       std::ios::in | std::ios::out | std::ios::binary);
-        f.seekp(std::streamoff(
-            std::filesystem::file_size(victim) / 2));
-        f.write("\xde\xad\xbe\xef", 4);
-    }
-
-    // A fresh store (cold memory tier) must detect the damage,
-    // regenerate the snapshot, and serve a plan identical to the
-    // original — corruption costs time, never correctness.
-    CkptStore second(dir.str());
-    const CkptStore::AcquireOutcome redo =
-        second.acquire(key, w.program);
-    EXPECT_GE(second.stats().corrupt, 1u);
-    EXPECT_GT(redo.generated, 0u);
-    ASSERT_EQ(redo.plan->positions, gen.plan->positions);
-    for (std::size_t i = 0; i < gen.plan->states.size(); ++i) {
-        EXPECT_EQ(archStateHash(redo.plan->states[i]),
-                  archStateHash(gen.plan->states[i]))
-            << "snapshot " << i;
-    }
-
-    // The regenerated snapshot was re-stored: a third store loads
-    // everything from disk with no corruption and no generation.
-    CkptStore third(dir.str());
-    const CkptStore::AcquireOutcome clean =
-        third.acquire(key, w.program);
-    EXPECT_EQ(third.stats().corrupt, 0u);
-    EXPECT_EQ(clean.generated, 0u);
-    EXPECT_EQ(clean.diskHits, gen.plan->states.size());
-}
-
-TEST(CkptStore, MetaWithDetailStartsTooCloseIsRejected)
-{
-    TmpDir dir("meta");
-    const Workload w = buildWorkload("compress", 2);
-    const CkptKey key =
-        ckptKeyFor("compress", w.program, sampledConfig().sampling);
-    CkptStore first(dir.str());
-    const CkptStore::AcquireOutcome gen = first.acquire(key, w.program);
-    ASSERT_GE(gen.plan->positions.size(), 3u);
-
-    // Move the second detail start to one instruction after the first:
-    // no detailed phase fits between them, so the warm pass could not
-    // place that window's gap.
-    const std::uint64_t p0 = gen.plan->positions[0];
-    const std::uint64_t p1 = gen.plan->positions[1];
-    std::string meta_path = first.statePath(key, p0);
-    meta_path.replace(meta_path.rfind(".p"), std::string::npos, ".json");
-    std::string meta;
-    {
-        std::ifstream in(meta_path);
-        ASSERT_TRUE(std::getline(in, meta));
-    }
-    const std::string from = "\"positions\":[" + std::to_string(p0) +
-                             "," + std::to_string(p1) + ",";
-    const std::size_t at = meta.find(from);
-    ASSERT_NE(at, std::string::npos) << meta;
-    meta.replace(at, from.size(),
-                 "\"positions\":[" + std::to_string(p0) + "," +
-                     std::to_string(p0 + 1) + ",");
-    std::ofstream(meta_path, std::ios::trunc) << meta << "\n";
-
-    CkptStore second(dir.str());
-    const CkptStore::AcquireOutcome redo =
-        second.acquire(key, w.program);
-    EXPECT_EQ(second.stats().corrupt, 1u);
-    EXPECT_GT(redo.generated, 0u);
-    EXPECT_EQ(redo.plan->positions, gen.plan->positions);
-}
-
-TEST(CkptStore, RevBumpRegeneratesInsteadOfServingStaleEntries)
-{
-    TmpDir dir("rev");
-    const Workload w = buildWorkload("ora", 2);
-    const CkptKey key =
-        ckptKeyFor("ora", w.program, sampledConfig().sampling);
-
-    CkptStore a(dir.str(), "ckpt-test-rev-a");
-    const CkptStore::AcquireOutcome first = a.acquire(key, w.program);
-    ASSERT_GT(first.generated, 0u);
-
-    // Same directory, bumped revision: the key hash changes, so the
-    // old entries are dead weight and the plan regenerates.
-    CkptStore b(dir.str(), "ckpt-test-rev-b");
-    const CkptStore::AcquireOutcome second = b.acquire(key, w.program);
-    EXPECT_EQ(second.diskHits, 0u);
-    EXPECT_GT(second.generated, 0u);
-    for (std::size_t i = 0; i < first.plan->states.size(); ++i) {
-        EXPECT_EQ(archStateHash(second.plan->states[i]),
-                  archStateHash(first.plan->states[i]));
-    }
-}
-
-TEST(CkptStore, ByteCapEvictsOldSnapshots)
-{
-    TmpDir dir("cap");
-    const Workload w = buildWorkload("tomcatv", 2);
-    const CkptKey key =
-        ckptKeyFor("tomcatv", w.program, sampledConfig().sampling);
-
-    // A cap far below one snapshot's size forces eviction right after
-    // every store; the library still works (memory tier serves the
-    // plan), it just cannot keep the disk entries.
-    CkptStore store(dir.str(), ckptRev(), 1024);
-    const CkptStore::AcquireOutcome got = store.acquire(key, w.program);
-    ASSERT_GT(got.generated, 0u);
-    EXPECT_GT(store.stats().evicted, 0u);
-
-    std::uintmax_t bytes = 0;
-    for (const auto &e :
-         std::filesystem::recursive_directory_iterator(dir.str())) {
-        if (e.is_regular_file())
-            bytes += e.file_size();
-    }
-    EXPECT_LE(bytes, 1024u);
-}
-
 TEST(CkptSampling, BudgetedRunsShareUnbudgetedCheckpoints)
 {
     // Budget truncation happens at plan time, not generation time, so
     // a capped sweep point reuses the library entry of the uncapped
     // run — positions are budget-independent by construction.
-    EnvGuard dir("DRSIM_CKPT_DIR", nullptr);
-    EnvGuard rev("DRSIM_CKPT_REV", nullptr);
     PolicyGuard restore;
     setSamplingExecPolicy(SamplingExecPolicy{});
     const Workload w = buildWorkload("mdljsp2", 2);
@@ -456,8 +260,6 @@ const std::map<std::pair<std::string, std::string>, std::string>
 
 TEST(CkptSampling, RestoredWarmStatesMatchFrozenReplayVerdicts)
 {
-    EnvGuard dir("DRSIM_CKPT_DIR", nullptr);
-    EnvGuard rev("DRSIM_CKPT_REV", nullptr);
     PolicyGuard restore;
     setSamplingExecPolicy(SamplingExecPolicy{});
     const std::pair<CacheKind, const char *> caches[] = {
