@@ -33,8 +33,11 @@ const char *exceptionModelName(ExceptionModel model);
  * @ref interval instructions is split into a functional fast-forward
  * of (interval - warmup - window), a detailed but histogram-gated
  * warm-up of @ref warmup, and a measured window of @ref window whose
- * commit IPC contributes one sample to the estimate.  interval == 0
- * disables sampling (full-detail run, the default).
+ * commit IPC contributes one sample to the estimate.  The whole
+ * fast-forward is replayed through the configuration's caches and
+ * branch predictor, so every detailed phase starts warm (DESIGN.md
+ * §5j).  interval == 0 disables sampling (full-detail run, the
+ * default).
  */
 struct SamplingConfig
 {
@@ -44,16 +47,6 @@ struct SamplingConfig
     std::uint64_t window = 0;
     /** Detailed warm-up before each measured window. */
     std::uint64_t warmup = 0;
-    /**
-     * Functional-warming horizon: instructions before each detailed
-     * phase that are replayed through the configuration's caches and
-     * branch predictor (architecturally, no timing) so the measured
-     * window starts from representatively warm microarchitectural
-     * state instead of a cold machine.  0 = the whole inter-window
-     * gap (maximal warming, the default); values larger than a gap
-     * clamp to it.
-     */
-    std::uint64_t warmff = 0;
 
     bool enabled() const { return interval != 0; }
 

@@ -45,11 +45,11 @@ samplingFromEnv()
 SamplingConfig
 parseSamplingSpec(const std::string &text)
 {
-    std::uint64_t fields[4] = {0, 0, 0, 0};
+    std::uint64_t fields[3] = {0, 0, 0};
     int nfields = 0;
     std::size_t pos = 0;
     bool trailing = false;
-    while (nfields < 4) {
+    while (nfields < 3) {
         const std::size_t colon = text.find(':', pos);
         const std::string part = text.substr(
             pos, colon == std::string::npos ? std::string::npos
@@ -58,7 +58,7 @@ parseSamplingSpec(const std::string &text)
             part.c_str(), 0, std::numeric_limits<std::uint64_t>::max());
         if (!field.has_value()) {
             fatal("bad sampling spec '", text,
-                  "': expected INTERVAL[:WINDOW[:WARMUP[:WARMFF]]] "
+                  "': expected INTERVAL[:WINDOW[:WARMUP]] "
                   "with decimal instruction counts");
         }
         fields[nfields++] = *field;
@@ -78,7 +78,6 @@ parseSamplingSpec(const std::string &text)
                              : std::max<std::uint64_t>(
                                    sc.interval / 20, 1);
     sc.warmup = nfields >= 3 ? fields[2] : sc.window;
-    sc.warmff = nfields >= 4 ? fields[3] : 0;
     if (sc.window == 0)
         fatal("bad sampling spec '", text, "': window must be > 0");
     // warmup + window may wrap: compare with what the interval leaves.
@@ -355,8 +354,6 @@ configSummary(const CoreConfig &cfg)
         s += " sample=" + std::to_string(cfg.sampling.interval) + ":" +
              std::to_string(cfg.sampling.window) + ":" +
              std::to_string(cfg.sampling.warmup);
-        if (cfg.sampling.warmff != 0)
-            s += ":" + std::to_string(cfg.sampling.warmff);
     }
     return s;
 }

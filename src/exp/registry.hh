@@ -74,12 +74,11 @@ struct RunContext
 };
 
 /**
- * Parse an `INTERVAL[:WINDOW[:WARMUP[:WARMFF]]]` sampling spec (the
- * --sample flag and DRSIM_SAMPLE env syntax).  Omitted WINDOW
- * defaults to interval/20 (at least 1); omitted WARMUP defaults to
- * WINDOW; omitted WARMFF defaults to 0 (functionally warm across the
- * whole inter-window gap).  fatal() on malformed text or an
- * infeasible combination.
+ * Parse an `INTERVAL[:WINDOW[:WARMUP]]` sampling spec (the --sample
+ * flag and DRSIM_SAMPLE env syntax).  Omitted WINDOW defaults to
+ * interval/20 (at least 1); omitted WARMUP defaults to WINDOW.
+ * fatal() on malformed text, a fourth field or an infeasible
+ * combination.
  */
 SamplingConfig parseSamplingSpec(const std::string &text);
 

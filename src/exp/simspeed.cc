@@ -8,31 +8,21 @@
  * the committed baseline of that file is what CI's regression gate
  * compares against.
  *
- * Extra knobs on top of the usual harness environment variables:
+ * The sampled leg runs at kSampledSpec over the top-level suite.  The
+ * parallel-sampled leg runs at kParallelSpec over its own suite at
+ * scale kParallelScale: sparse windows on long programs, the cost
+ * regime of a 96-point register-file sweep, where the functional
+ * fast-forward dominates each sweep point and the checkpoint library
+ * can amortize it.
+ *
+ * One extra knob on top of the usual harness environment variables:
  *   DRSIM_BENCH_REPS  timing repetitions per (workload, leg);
  *                     best-of-reps is recorded (default 3)
- *   DRSIM_SAMPLE_BENCH  sampling spec
- *                     (INTERVAL[:WINDOW[:WARMUP[:WARMFF]]], see
- *                     parseSamplingSpec) for the sampled-mode
- *                     comparison leg; default "40000:1000:4000".
- *                     Set to "off" to skip the sampled block.
- *   DRSIM_PSAMPLE_BENCH  sampling spec for the checkpoint-warm
- *                     parallel-sampled leg; default
- *                     "400000:500:500:1000" — sparse windows with
- *                     bounded functional warming, the cost regime of
- *                     a 96-point register-file sweep, where the
- *                     functional fast-forward dominates each sweep
- *                     point and the checkpoint library can amortize
- *                     it.  Set to "off" to skip the block.
- *   DRSIM_PSAMPLE_SCALE  DRSIM_SCALE the parallel-sampled leg builds
- *                     its own suite at (default 60; sampling's
- *                     benchmark regime is the long workload).
  */
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/env.hh"
 #include "common/logging.hh"
@@ -43,6 +33,10 @@ namespace exp {
 namespace detail {
 
 namespace {
+
+constexpr const char *kSampledSpec = "40000:1000:4000";
+constexpr const char *kParallelSpec = "400000:500:500";
+constexpr int kParallelScale = 60;
 
 double
 timedRun(const CoreConfig &cfg, const Workload &w, int reps,
@@ -76,14 +70,8 @@ measureSampled(SpeedRunInfo &info, const CoreConfig &full_cfg,
                const std::vector<SpeedSample> &full,
                const std::vector<SimResult> &full_results)
 {
-    const char *env = std::getenv("DRSIM_SAMPLE_BENCH");
-    const std::string spec =
-        env != nullptr && env[0] != '\0' ? env : "40000:1000:4000";
-    if (spec == "off")
-        return;
-
     CoreConfig sampled_cfg = full_cfg;
-    sampled_cfg.sampling = parseSamplingSpec(spec);
+    sampled_cfg.sampling = parseSamplingSpec(kSampledSpec);
 
     // This leg is the tracked serial baseline: checkpoint library off
     // (every rep pays the full functional fast-forward) and windows
@@ -104,11 +92,7 @@ measureSampled(SpeedRunInfo &info, const CoreConfig &full_cfg,
                 "estimate", "ci95", "cover");
 
     SampledSpeed sp;
-    sp.present = true;
-    sp.interval = sampled_cfg.sampling.interval;
-    sp.window = sampled_cfg.sampling.window;
-    sp.warmup = sampled_cfg.sampling.warmup;
-    sp.warmff = sampled_cfg.sampling.warmff;
+    sp.sampling = sampled_cfg.sampling;
     for (std::size_t i = 0; i < suite.size(); ++i) {
         SimResult res;
         SampledSpeedSample s;
@@ -174,54 +158,42 @@ checkSampledIdentical(const SimResult &a, const SimResult &b)
 
 /**
  * The checkpoint-library leg: the sampled sweep cost at a
- * sweep-realistic spec (sparse windows, bounded functional warming —
- * the regime of a 96-point register-file sweep, where the functional
- * fast-forward dominates each point), first with the library disabled
- * and windows serial (every run pays the full fast-forward — the PR 7
- * cost model), then checkpoint-warm with the measured windows fanned
- * out across the thread pool.  Statistics must match exactly.
+ * sweep-realistic spec (sparse windows — the regime of a 96-point
+ * register-file sweep, where the functional fast-forward dominates
+ * each point), first with the library disabled and windows serial
+ * (every run pays the full fast-forward), then checkpoint-warm with
+ * the measured windows fanned out across the thread pool.  Statistics
+ * must match exactly.
  *
- * The leg builds its own suite at DRSIM_PSAMPLE_SCALE (default 60):
- * sampling amortizes the functional fast-forward, so its benchmark
- * regime is the long workload.  At the tiny top-level bench scale the
- * detailed windows dominate the run and the ratio degenerates toward
- * 1 no matter how well the library amortizes the fast-forward.
+ * The leg builds its own suite at kParallelScale: sampling amortizes
+ * the functional fast-forward, so its benchmark regime is the long
+ * workload.  At the tiny top-level bench scale the detailed windows
+ * dominate the run and the ratio degenerates toward 1 no matter how
+ * well the library amortizes the fast-forward.
  */
 void
 measureParallelSampled(SpeedRunInfo &info, const CoreConfig &full_cfg,
                        int reps)
 {
-    const char *env = std::getenv("DRSIM_PSAMPLE_BENCH");
-    const std::string spec =
-        env != nullptr && env[0] != '\0' ? env : "400000:500:500:1000";
-    if (spec == "off")
-        return;
-    const int scale = int(envU64("DRSIM_PSAMPLE_SCALE", 60));
-    const std::vector<Workload> suite = buildSpec92Suite(scale);
+    const std::vector<Workload> suite = buildSpec92Suite(kParallelScale);
 
     CoreConfig sampled_cfg = full_cfg;
-    sampled_cfg.sampling = parseSamplingSpec(spec);
+    sampled_cfg.sampling = parseSamplingSpec(kParallelSpec);
 
     std::printf("\ncheckpoint-warm parallel sampled vs serial "
                 "baseline (scale %d, interval %llu, window %llu, "
-                "warmup %llu, warmff %llu), best of %d rep(s):\n",
-                scale,
+                "warmup %llu), best of %d rep(s):\n",
+                kParallelScale,
                 (unsigned long long)sampled_cfg.sampling.interval,
                 (unsigned long long)sampled_cfg.sampling.window,
-                (unsigned long long)sampled_cfg.sampling.warmup,
-                (unsigned long long)sampled_cfg.sampling.warmff,
-                reps);
+                (unsigned long long)sampled_cfg.sampling.warmup, reps);
     std::printf("%-10s %10s %10s %8s %9s %9s %5s\n", "workload",
                 "serial s", "warm s", "speedup", "ckpt acq",
                 "windows s", "jobs");
 
     ParallelSampled ps;
-    ps.present = true;
-    ps.scale = scale;
-    ps.interval = sampled_cfg.sampling.interval;
-    ps.window = sampled_cfg.sampling.window;
-    ps.warmup = sampled_cfg.sampling.warmup;
-    ps.warmff = sampled_cfg.sampling.warmff;
+    ps.scale = kParallelScale;
+    ps.sampling = sampled_cfg.sampling;
     for (std::size_t i = 0; i < suite.size(); ++i) {
         // Serial baseline: library off, so every rep regenerates the
         // full functional fast-forward, and windows run in order.

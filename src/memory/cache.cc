@@ -315,44 +315,25 @@ InstCache::fetch(Addr pc, Cycle now)
 namespace {
 
 /**
- * Shared tail of functional warming: rewrite each set's valid lines'
- * lastUsed to their recency rank (0 = oldest), so every warm stamp
- * sorts below any cycle number the detailed run will produce while
- * the warmed LRU order survives.  @p Line needs valid/lastUsed.
+ * The valid lines of @p lines (numSets x @p assoc, set-major), each
+ * with its recency rank within its set (0 = least recently used):
+ * the warmed LRU order, with every stamp below any cycle number a
+ * detailed run will produce.  @p Line needs valid/tag/lastUsed.
  */
 template <typename Line>
-void
-rebaseWarmRanks(std::vector<Line> &lines, std::uint32_t num_sets,
-                std::uint32_t assoc)
-{
-    std::vector<Line *> ways;
-    for (std::uint32_t set = 0; set < num_sets; ++set) {
-        Line *base = &lines[std::size_t(set) * assoc];
-        ways.clear();
-        for (std::uint32_t w = 0; w < assoc; ++w)
-            if (base[w].valid)
-                ways.push_back(&base[w]);
-        std::sort(ways.begin(), ways.end(),
-                  [](const Line *a, const Line *b) {
-                      return a->lastUsed < b->lastUsed;
-                  });
-        for (std::size_t r = 0; r < ways.size(); ++r)
-            ways[r]->lastUsed = Cycle(r);
-    }
-}
-
-/** The valid lines of @p lines, with their ranks (see WarmLine). */
-template <typename Line>
 CacheWarmState
-saveWarmLines(const std::vector<Line> &lines)
+saveWarmLines(const std::vector<Line> &lines, std::uint32_t assoc)
 {
     CacheWarmState out;
     for (std::size_t i = 0; i < lines.size(); ++i) {
-        if (lines[i].valid) {
-            out.push_back({std::uint32_t(i),
-                           std::uint32_t(lines[i].lastUsed),
-                           lines[i].tag});
-        }
+        if (!lines[i].valid)
+            continue;
+        const std::size_t base = i - i % assoc;
+        std::uint32_t rank = 0;
+        for (std::size_t w = base; w < base + assoc; ++w)
+            rank += lines[w].valid &&
+                    lines[w].lastUsed < lines[i].lastUsed;
+        out.push_back({std::uint32_t(i), rank, lines[i].tag});
     }
     return out;
 }
@@ -409,19 +390,10 @@ DataCache::warmStore(Addr addr)
         line->lastUsed = warmTick_;
 }
 
-void
-DataCache::finishWarm()
-{
-    if (warmTick_ == 0)
-        return;
-    rebaseWarmRanks(lines_, numSets_, config_.assoc);
-    warmTick_ = 0;
-}
-
 CacheWarmState
 DataCache::warmState() const
 {
-    return saveWarmLines(lines_);
+    return saveWarmLines(lines_, config_.assoc);
 }
 
 void
@@ -458,19 +430,10 @@ InstCache::warmFetch(Addr pc)
     base[victim].lastUsed = warmTick_;
 }
 
-void
-InstCache::finishWarm()
-{
-    if (warmTick_ == 0)
-        return;
-    rebaseWarmRanks(lines_, numSets_, config_.assoc);
-    warmTick_ = 0;
-}
-
 CacheWarmState
 InstCache::warmState() const
 {
-    return saveWarmLines(lines_);
+    return saveWarmLines(lines_, config_.assoc);
 }
 
 void

@@ -76,8 +76,8 @@ struct CacheConfig
 
 /**
  * One valid line of a functionally warmed cache (DESIGN.md §5j): its
- * place in the set-major line array, its tag, and the per-set recency
- * rank finishWarm() left it (0 = least recently used).  A cache's warm
+ * place in the set-major line array, its tag, and its recency rank
+ * within its set (0 = least recently used).  A cache's warm
  * state is the list of its valid lines; every other line is invalid,
  * so a cold cache is the empty list.
  */
@@ -181,13 +181,11 @@ class DataCache
     /** Fast-forwarded store: write-around, so recency update only. */
     void warmStore(Addr addr);
     /**
-     * Rebase warm recency to per-set ranks below every real cycle
-     * number, so the detailed run's LRU decisions see the warmed
-     * ordering but never prefer a warm line over a line it touched
-     * itself.  Call once, after the last warm touch.
+     * The tag state, with recency rebased to per-set ranks below every
+     * real cycle number: a restored cache's LRU decisions see the
+     * warmed ordering but never prefer a warm line over a line the
+     * detailed run touched itself.  A pure read; warming may go on.
      */
-    void finishWarm();
-    /** The tag state as finishWarm() left it. */
     CacheWarmState warmState() const;
     /**
      * Load a warmState() into a cache that has not run: afterwards it
@@ -235,7 +233,7 @@ class DataCache
     /** Finite-write-buffer occupancy and last drain time. */
     std::uint32_t wbOccupancy_ = 0;
     Cycle wbLastDrain_ = 0;
-    /** Monotonic warm-touch order; nonzero only mid-warming. */
+    /** Monotonic warm-touch order. */
     Cycle warmTick_ = 0;
     DCacheStats stats_;
 };
@@ -263,8 +261,6 @@ class InstCache
 
     /** Functional warming: touch without stats (see DataCache). */
     void warmFetch(Addr pc);
-    /** Rebase warm recency to per-set ranks (see DataCache). */
-    void finishWarm();
     /** Warm tag state save/restore (see DataCache). */
     CacheWarmState warmState() const;
     void restoreWarmState(const CacheWarmState &state);

@@ -78,8 +78,7 @@ pointKeyText(const PointKey &key, const std::string &rev)
        << int(c.collectOccupancyHistograms) << "\n"
        << "sampling_interval=" << c.sampling.interval << "\n"
        << "sampling_window=" << c.sampling.window << "\n"
-       << "sampling_warmup=" << c.sampling.warmup << "\n"
-       << "sampling_warmff=" << c.sampling.warmff << "\n";
+       << "sampling_warmup=" << c.sampling.warmup << "\n";
     return os.str();
 }
 

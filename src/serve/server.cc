@@ -490,12 +490,19 @@ Server::handleRun(int fd, std::uint64_t connId,
                 return;
             }
         }
+        // Point records echo "warmff": 0, whole-gap warming, the only
+        // policy; a request may repeat that but ask for nothing else.
+        if (const json::Value *w = v->find("warmff");
+            w != nullptr && w->asU64() != 0) {
+            sendError(fd, id, "bad-request",
+                      "\"warmff\" must be 0: every window warms its "
+                      "whole gap");
+            return;
+        }
         SamplingConfig sc;
         sc.interval = v->at("interval").asU64();
         sc.window = v->at("window").asU64();
         sc.warmup = v->at("warmup").asU64();
-        if (const json::Value *w = v->find("warmff"))
-            sc.warmff = w->asU64();
         if (sc.interval == 0 || sc.window == 0 ||
             sc.warmup >= sc.interval ||
             sc.window >= sc.interval - sc.warmup) {

@@ -85,7 +85,6 @@ warmKeyFor(const CoreConfig &config)
     key.icacheAssoc = config.icache.assoc;
     key.icacheLine = config.icache.lineBytes;
     key.predictor = config.predictor;
-    key.warmff = config.sampling.warmff;
     return key;
 }
 
@@ -98,8 +97,7 @@ warmKeyText(const WarmKey &key)
        << key.dcacheLine << "\n"
        << "warm_icache=" << key.icacheSize << ":" << key.icacheAssoc
        << ":" << key.icacheLine << "\n"
-       << "warm_predictor=" << key.predictor << "\n"
-       << "warmff=" << key.warmff << "\n";
+       << "warm_predictor=" << key.predictor << "\n";
     return os.str();
 }
 
@@ -195,10 +193,8 @@ class FunctionalWarmer : public Emulator::FfObserver
 
     /** The warm state this replay built. */
     WarmState
-    capture()
+    capture() const
     {
-        icache_.finishWarm();
-        dcache_.finishWarm();
         return {icache_.warmState(), dcache_.warmState(),
                 pred_->saveState()};
     }
@@ -240,12 +236,10 @@ class FunctionalWarmer : public Emulator::FfObserver
 } // namespace
 
 /**
- * One functional pass over the program: skip to each window's warm
- * start (its detail start minus the warming horizon — min(warmff,
- * gap), the whole gap when warmff is 0), replay the rest of the gap
- * into a cold FunctionalWarmer, and capture the result.  Each window
- * warms from a cold machine: the state is a function of its own
- * warming stretch alone.
+ * One functional pass over the program: skip each detailed phase,
+ * replay the gap after it into a cold FunctionalWarmer, and capture
+ * the result at the next detail start.  Each window warms from a
+ * cold machine: the state is a function of its own gap alone.
  */
 WarmStates
 generateWarmStates(const CkptKey &key, const SampleCkpts &plan,
@@ -254,7 +248,6 @@ generateWarmStates(const CkptKey &key, const SampleCkpts &plan,
     WarmStates out;
     Emulator emu(program);
     const std::uint64_t detail = key.warmup + key.window;
-    std::uint64_t pos = 0;
     std::uint64_t gap_start = detail;
     for (const std::uint64_t start : plan.positions) {
         if (start >= plan.archLength)
@@ -263,21 +256,15 @@ generateWarmStates(const CkptKey &key, const SampleCkpts &plan,
             DRSIM_PANIC("detail start ", start, " inside the detailed "
                         "phase ending at ", gap_start);
         const std::uint64_t gap = start - gap_start;
-        const std::uint64_t replay =
-            warm.warmff == 0 ? gap : std::min(warm.warmff, gap);
-        const std::uint64_t skip = start - replay - pos;
-        if (emu.fastForward(skip) != skip)
-            fatal("functional warming: plan position ", start,
-                  " is past the program's end");
         FunctionalWarmer warmer(warm);
+        std::uint64_t stepped = emu.fastForward(detail);
         emu.setFfObserver(&warmer);
-        const std::uint64_t warmed = emu.fastForward(replay);
+        stepped += emu.fastForward(gap);
         emu.setFfObserver(nullptr);
-        if (warmed != replay)
+        if (stepped != detail + gap)
             fatal("functional warming: plan position ", start,
                   " is past the program's end");
         out.push_back(warmer.capture());
-        pos = start;
         gap_start = start + detail;
     }
     return out;

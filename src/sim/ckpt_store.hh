@@ -17,16 +17,15 @@
  *
  *     (workload name, programDigest, interval, window, warmup)
  *
- * canonicalized to text.  The functional-warming horizon (warmff) is
- * not in it: it moves no detail start.
+ * canonicalized to text.
  *
  * Functional warming is live-point style: beside each plan the
  * library keeps, per warm key (WarmKey — the few CoreConfig fields the
- * warming replay reads, plus warmff), every window's WarmState — the
- * cache tag state and predictor image that replaying the warming
- * stretch leaves at the detail start.  One functional pass per
- * (plan, warm key) produces them; a window task then restores a
- * snapshot and a warm state instead of replaying its gap.
+ * warming replay reads), every window's WarmState — the cache tag
+ * state and predictor image that replaying the window's whole gap
+ * leaves at the detail start.  One functional pass per (plan, warm
+ * key) produces them; a window task then restores a snapshot and a
+ * warm state instead of replaying its gap.
  *
  * Plans and warm states live in memory only, each in a coalescing
  * MemoryTier (common/content_store.hh): concurrent requests for one
@@ -105,12 +104,12 @@ struct SampleCkpts
 };
 
 /**
- * The CoreConfig fields functional warming reads, plus the warming
- * horizon: a window's WarmState is a function of these, the plan and
- * the program alone.  Lockup and lockup-free data caches warm
- * identically, so only "perfect or not" of CoreConfig::cacheKind
- * matters; timing fields of the caches (latencies, MSHRs, write
- * buffer) are never touched by warming.
+ * The CoreConfig fields functional warming reads: a window's
+ * WarmState is a function of these, the plan and the program alone.
+ * Lockup and lockup-free data caches warm identically, so only
+ * "perfect or not" of CoreConfig::cacheKind matters; timing fields of
+ * the caches (latencies, MSHRs, write buffer) are never touched by
+ * warming.
  */
 struct WarmKey
 {
@@ -125,12 +124,9 @@ struct WarmKey
     std::uint32_t icacheLine = 0;
     /** CoreConfig::predictor. */
     std::string predictor;
-    /** SamplingConfig::warmff: warm the last min(warmff, gap)
-     *  instructions of each gap (the whole gap when 0). */
-    std::uint64_t warmff = 0;
 };
 
-/** The warm key of @p config (its sampling spec's warmff included). */
+/** The warm key of @p config. */
 WarmKey warmKeyFor(const CoreConfig &config);
 
 /** Canonical text of @p key (appended to the plan key's text). */

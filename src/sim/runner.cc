@@ -267,7 +267,7 @@ writeSamplingMembers(json::Writer &w, const SamplingConfig &s)
     w.key("interval").value(s.interval);
     w.key("window").value(s.window);
     w.key("warmup").value(s.warmup);
-    w.key("warmff").value(s.warmff);
+    w.key("warmff").value(std::uint64_t{0});
 }
 
 std::string
@@ -385,71 +385,65 @@ simspeedJson(const SpeedRunInfo &info,
     writeSpeedLeg(w, committed, seconds);
     w.endObject();
 
-    if (info.sampled.present) {
-        const SampledSpeed &sp = info.sampled;
-        double full_s = 0.0;
-        double sampled_s = 0.0;
-        bool all_cover = true;
-        w.key("sampled").beginObject();
-        writeSamplingMembers(
-            w, {sp.interval, sp.window, sp.warmup, sp.warmff});
-        w.key("workloads").beginArray();
-        for (const SampledSpeedSample &s : sp.samples) {
-            full_s += s.fullSeconds;
-            sampled_s += s.sampledSeconds;
-            all_cover = all_cover && s.ciCovers;
-            w.beginObject();
-            w.key("name").value(s.workload);
-            w.key("committed").value(s.committed);
-            w.key("full_seconds").value(s.fullSeconds);
-            w.key("sampled_seconds").value(s.sampledSeconds);
-            w.key("full_ipc").value(s.fullIpc);
-            w.key("ipc_estimate").value(s.ipcEstimate);
-            w.key("ci95").value(s.ci95);
-            w.key("windows").value(s.windows);
-            w.key("ci_covers_full_ipc").value(s.ciCovers);
-            writeSpeedup(w, s.fullSeconds, s.sampledSeconds);
-            w.endObject();
-        }
-        w.endArray();
-        w.key("aggregate").beginObject();
-        w.key("full_seconds").value(full_s);
-        w.key("sampled_seconds").value(sampled_s);
-        writeSpeedup(w, full_s, sampled_s);
-        w.key("all_ci_cover").value(all_cover);
-        w.endObject();
+    const SampledSpeed &sp = info.sampled;
+    double full_s = 0.0;
+    double sampled_s = 0.0;
+    bool all_cover = true;
+    w.key("sampled").beginObject();
+    writeSamplingMembers(w, sp.sampling);
+    w.key("workloads").beginArray();
+    for (const SampledSpeedSample &s : sp.samples) {
+        full_s += s.fullSeconds;
+        sampled_s += s.sampledSeconds;
+        all_cover = all_cover && s.ciCovers;
+        w.beginObject();
+        w.key("name").value(s.workload);
+        w.key("committed").value(s.committed);
+        w.key("full_seconds").value(s.fullSeconds);
+        w.key("sampled_seconds").value(s.sampledSeconds);
+        w.key("full_ipc").value(s.fullIpc);
+        w.key("ipc_estimate").value(s.ipcEstimate);
+        w.key("ci95").value(s.ci95);
+        w.key("windows").value(s.windows);
+        w.key("ci_covers_full_ipc").value(s.ciCovers);
+        writeSpeedup(w, s.fullSeconds, s.sampledSeconds);
         w.endObject();
     }
+    w.endArray();
+    w.key("aggregate").beginObject();
+    w.key("full_seconds").value(full_s);
+    w.key("sampled_seconds").value(sampled_s);
+    writeSpeedup(w, full_s, sampled_s);
+    w.key("all_ci_cover").value(all_cover);
+    w.endObject();
+    w.endObject();
 
-    if (info.parallelSampled.present) {
-        const ParallelSampled &ps = info.parallelSampled;
-        double base_s = 0.0;
-        double warm_s = 0.0;
-        w.key("parallel_sampled").beginObject();
-        w.key("scale").value(std::uint64_t(ps.scale));
-        writeSamplingMembers(
-            w, {ps.interval, ps.window, ps.warmup, ps.warmff});
-        w.key("workloads").beginArray();
-        for (const ParallelSampledSample &s : ps.samples) {
-            base_s += s.baseline.total;
-            warm_s += s.warm.total;
-            w.beginObject();
-            w.key("name").value(s.workload);
-            writePhaseSeconds(w, "baseline", s.baseline);
-            writePhaseSeconds(w, "warm", s.warm);
-            w.key("ckpt_generated").value(s.ckptGenerated);
-            w.key("window_jobs").value(s.windowJobs);
-            writeSpeedup(w, s.baseline.total, s.warm.total);
-            w.endObject();
-        }
-        w.endArray();
-        w.key("aggregate").beginObject();
-        w.key("baseline_seconds").value(base_s);
-        w.key("warm_seconds").value(warm_s);
-        writeSpeedup(w, base_s, warm_s);
-        w.endObject();
+    const ParallelSampled &ps = info.parallelSampled;
+    double base_s = 0.0;
+    double warm_s = 0.0;
+    w.key("parallel_sampled").beginObject();
+    w.key("scale").value(std::uint64_t(ps.scale));
+    writeSamplingMembers(w, ps.sampling);
+    w.key("workloads").beginArray();
+    for (const ParallelSampledSample &s : ps.samples) {
+        base_s += s.baseline.total;
+        warm_s += s.warm.total;
+        w.beginObject();
+        w.key("name").value(s.workload);
+        writePhaseSeconds(w, "baseline", s.baseline);
+        writePhaseSeconds(w, "warm", s.warm);
+        w.key("ckpt_generated").value(s.ckptGenerated);
+        w.key("window_jobs").value(s.windowJobs);
+        writeSpeedup(w, s.baseline.total, s.warm.total);
         w.endObject();
     }
+    w.endArray();
+    w.key("aggregate").beginObject();
+    w.key("baseline_seconds").value(base_s);
+    w.key("warm_seconds").value(warm_s);
+    writeSpeedup(w, base_s, warm_s);
+    w.endObject();
+    w.endObject();
     w.endObject();
     return w.str() + "\n";
 }

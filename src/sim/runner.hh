@@ -94,8 +94,9 @@ struct RunInfo
     std::uint64_t maxCommitted = 0;
 };
 
-/** The interval/window/warmup/warmff members of @p s, in the order
- *  every document that carries sampling parameters uses. */
+/** The interval/window/warmup members of @p s, then "warmff": 0
+ *  (every window warms its whole gap), in the order every document
+ *  that carries sampling parameters uses. */
 void writeSamplingMembers(json::Writer &w, const SamplingConfig &s);
 
 /**
@@ -155,12 +156,8 @@ struct SampledSpeedSample
  */
 struct SampledSpeed
 {
-    bool present = false;
-    /** The SamplingConfig the sampled legs ran under. */
-    std::uint64_t interval = 0;
-    std::uint64_t window = 0;
-    std::uint64_t warmup = 0;
-    std::uint64_t warmff = 0;
+    /** The sampling spec the sampled legs ran under. */
+    SamplingConfig sampling;
     std::vector<SampledSpeedSample> samples;
 };
 
@@ -206,29 +203,25 @@ struct ParallelSampledSample
  * The checkpoint-library benchmark block ("parallel_sampled" in the
  * JSON): the sampled sweep cost with fast-forward amortized into the
  * checkpoint library and measured windows sharded across the thread
- * pool.  Runs under its own sweep-realistic spec (DRSIM_PSAMPLE_BENCH
- * — sparse windows, bounded functional warming: the regime of a 96
- * point register-file sweep, where the fast-forward dominates each
- * point).  The aggregate baseline/warm speedup is what the CI gate
- * tracks (>= 3x over the serial sampled cost at the same spec).
+ * pool.  Runs under its own sweep-realistic spec (sparse windows: the
+ * regime of a 96 point register-file sweep, where the fast-forward
+ * dominates each point).  The aggregate baseline/warm speedup is what
+ * the CI gate tracks (>= 3x over the serial sampled cost at the same
+ * spec).
  */
 struct ParallelSampled
 {
-    bool present = false;
     /**
-     * DRSIM_SCALE this block's suite was built at (DRSIM_PSAMPLE_SCALE;
-     * independent of the top-level scale).  Sampling amortizes the
-     * functional fast-forward, so its benchmark regime is the *long*
-     * workload — at the tiny top-level bench scale the measured
-     * windows dominate and the ratio degenerates toward 1 regardless
-     * of how well the library amortizes.
+     * DRSIM_SCALE this block's suite was built at (independent of the
+     * top-level scale).  Sampling amortizes the functional
+     * fast-forward, so its benchmark regime is the *long* workload —
+     * at the tiny top-level bench scale the measured windows dominate
+     * and the ratio degenerates toward 1 regardless of how well the
+     * library amortizes.
      */
     int scale = 0;
-    /** The SamplingConfig both legs ran under. */
-    std::uint64_t interval = 0;
-    std::uint64_t window = 0;
-    std::uint64_t warmup = 0;
-    std::uint64_t warmff = 0;
+    /** The sampling spec both legs ran under. */
+    SamplingConfig sampling;
     std::vector<ParallelSampledSample> samples;
 };
 

@@ -265,7 +265,6 @@ TEST(Cache, WarmStateRestoresTagsAndRecency)
     warmed.warmLoad(b);
     warmed.warmStore(a); // a becomes the most recent
     warmed.warmLoad(64); // another set
-    warmed.finishWarm();
     const CacheWarmState state = warmed.warmState();
     ASSERT_EQ(state.size(), 3u);
 
@@ -285,7 +284,6 @@ TEST(Cache, WarmStateRestoresTagsAndRecency)
     // A perfect cache keeps no tags: its warm state is empty.
     DataCache perfect(CacheKind::Perfect, cfg);
     perfect.warmLoad(a);
-    perfect.finishWarm();
     EXPECT_TRUE(perfect.warmState().empty());
 }
 
@@ -295,13 +293,61 @@ TEST(ICache, WarmStateRoundTrips)
     for (Addr line = 0; line < 4; ++line)
         warmed.warmFetch(0x1000 + line * 32);
     warmed.warmFetch(0x1000);
-    warmed.finishWarm();
     InstCache restored(smallConfig());
     restored.restoreWarmState(warmed.warmState());
     EXPECT_EQ(restored.warmState(), warmed.warmState());
     for (Addr line = 0; line < 4; ++line)
         EXPECT_EQ(restored.fetch(0x1000 + line * 32, 100), 100u);
     EXPECT_EQ(restored.misses(), 0u);
+}
+
+TEST(Cache, WarmStateIsAPureRead)
+{
+    // Capturing mid-warm must not disturb the warming that follows:
+    // warm A, capture, warm B, capture equals warm A then B, capture.
+    const CacheConfig cfg = smallConfig(); // 16 sets, 2-way
+    const auto warm_a = [](DataCache &c) {
+        c.warmLoad(0);
+        c.warmLoad(16 * 32);
+        c.warmLoad(64);
+    };
+    const auto warm_b = [](DataCache &c) {
+        c.warmStore(0);
+        c.warmLoad(2 * 16 * 32); // evicts 16 * 32, not 0
+        c.warmLoad(64 + 16 * 32);
+    };
+    DataCache captured(CacheKind::LockupFree, cfg);
+    warm_a(captured);
+    const CacheWarmState mid = captured.warmState();
+    EXPECT_EQ(mid.size(), 3u);
+    warm_b(captured);
+    DataCache once(CacheKind::LockupFree, cfg);
+    warm_a(once);
+    warm_b(once);
+    EXPECT_EQ(captured.warmState(), once.warmState());
+    EXPECT_NE(once.warmState(), mid);
+}
+
+TEST(ICache, WarmStateIsAPureRead)
+{
+    const auto warm_a = [](InstCache &c) {
+        c.warmFetch(0x1000);
+        c.warmFetch(0x1000 + 16 * 32); // same set as 0x1000
+        c.warmFetch(0x1020);
+    };
+    const auto warm_b = [](InstCache &c) {
+        c.warmFetch(0x1000);
+        c.warmFetch(0x1000 + 2 * 16 * 32); // evicts 0x1000 + 16 * 32
+    };
+    InstCache captured(smallConfig());
+    warm_a(captured);
+    const CacheWarmState mid = captured.warmState();
+    warm_b(captured);
+    InstCache once(smallConfig());
+    warm_a(once);
+    warm_b(once);
+    EXPECT_EQ(captured.warmState(), once.warmState());
+    EXPECT_NE(once.warmState(), mid);
 }
 
 class CacheGeometryTest

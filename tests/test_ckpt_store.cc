@@ -47,7 +47,7 @@ CoreConfig
 sampledConfig(int regs = 96)
 {
     CoreConfig cfg = exp::paperConfig(4, regs);
-    cfg.sampling = parseSamplingSpec("3000:200:400:500");
+    cfg.sampling = parseSamplingSpec("3000:200:400");
     return cfg;
 }
 
@@ -117,7 +117,7 @@ TEST(CkptSampling, ColdAndWarmMemoryRunsAreByteIdentical)
     setSamplingExecPolicy(SamplingExecPolicy{});
     const Workload w = buildWorkload("gcc1", 2);
     CoreConfig cfg = sampledConfig();
-    cfg.sampling = parseSamplingSpec("3100:200:400:500");
+    cfg.sampling = parseSamplingSpec("3100:200:400");
 
     const SimResult cold = simulate(cfg, w);
     ASSERT_TRUE(cold.sampled.enabled);
@@ -151,16 +151,11 @@ TEST(CkptSampling, KeyIsConfigIndependentAndSharedAcrossSweep)
     const CkptKey b = ckptKeyFor("doduc", w.program, other.sampling);
     EXPECT_EQ(ckptKeyText(a), ckptKeyText(b));
 
-    // ...and the sampling spec's stride fields, but not the warming
-    // horizon: warmff moves no detail start, only the warm states.
+    // ...and the sampling spec's stride fields.
     SamplingConfig bumped = other.sampling;
     bumped.warmup = other.sampling.warmup + 1;
     const CkptKey c = ckptKeyFor("doduc", w.program, bumped);
     EXPECT_NE(ckptKeyText(a), ckptKeyText(c));
-    SamplingConfig horizon = other.sampling;
-    horizon.warmff = other.sampling.warmff + 1;
-    const CkptKey d = ckptKeyFor("doduc", w.program, horizon);
-    EXPECT_EQ(ckptKeyText(a), ckptKeyText(d));
 
     // Two different machine configurations of one workload share one
     // entry: the second sweep point never regenerates.
@@ -217,19 +212,6 @@ const std::map<std::pair<std::string, std::string>, std::string>
     {{"gcc1", "3000:200:400/tage/lockup"}, "e1ad192eeaffe49c"},
     {{"gcc1", "3000:200:400/tage/lockup-free"}, "c5a7166af83a6500"},
     {{"gcc1", "3000:200:400/small-caches"}, "da65e5d353887cda"},
-    {{"gcc1", "3000:200:400:500/mcfarling/perfect"}, "bbb2369eb62a0ba5"},
-    {{"gcc1", "3000:200:400:500/mcfarling/lockup"}, "80f09bc1531fa404"},
-    {{"gcc1", "3000:200:400:500/mcfarling/lockup-free"}, "25d329a0c2da19d2"},
-    {{"gcc1", "3000:200:400:500/bimodal/perfect"}, "5a8e511c0644c221"},
-    {{"gcc1", "3000:200:400:500/bimodal/lockup"}, "ea9ba450b0777633"},
-    {{"gcc1", "3000:200:400:500/bimodal/lockup-free"}, "940bc5070cc8f976"},
-    {{"gcc1", "3000:200:400:500/gshare/perfect"}, "b2a62756d517d717"},
-    {{"gcc1", "3000:200:400:500/gshare/lockup"}, "f81ba705f495826d"},
-    {{"gcc1", "3000:200:400:500/gshare/lockup-free"}, "f31e79a653350ef3"},
-    {{"gcc1", "3000:200:400:500/tage/perfect"}, "5f05df9fe76de519"},
-    {{"gcc1", "3000:200:400:500/tage/lockup"}, "a2e6a185868b86a9"},
-    {{"gcc1", "3000:200:400:500/tage/lockup-free"}, "1da59e294c26b141"},
-    {{"gcc1", "3000:200:400:500/small-caches"}, "071216ffe87a6d04"},
     {{"compress", "3000:200:400/mcfarling/perfect"}, "c8a40010d077f42b"},
     {{"compress", "3000:200:400/mcfarling/lockup"}, "990e719829e8ad6c"},
     {{"compress", "3000:200:400/mcfarling/lockup-free"}, "306cdebe1bff370e"},
@@ -243,19 +225,6 @@ const std::map<std::pair<std::string, std::string>, std::string>
     {{"compress", "3000:200:400/tage/lockup"}, "a32d061c362916e5"},
     {{"compress", "3000:200:400/tage/lockup-free"}, "5de5f7757fb836ae"},
     {{"compress", "3000:200:400/small-caches"}, "9dc89965949baa2f"},
-    {{"compress", "3000:200:400:500/mcfarling/perfect"}, "705baecd7fe7e0da"},
-    {{"compress", "3000:200:400:500/mcfarling/lockup"}, "5f6e099efc4d1bb1"},
-    {{"compress", "3000:200:400:500/mcfarling/lockup-free"}, "c8e1fa2c7d41de2a"},
-    {{"compress", "3000:200:400:500/bimodal/perfect"}, "87fe198d0affd8c2"},
-    {{"compress", "3000:200:400:500/bimodal/lockup"}, "0cec53c276968f5b"},
-    {{"compress", "3000:200:400:500/bimodal/lockup-free"}, "37308190f3eb9c13"},
-    {{"compress", "3000:200:400:500/gshare/perfect"}, "6a22870414e8959a"},
-    {{"compress", "3000:200:400:500/gshare/lockup"}, "4ddabe25db97761b"},
-    {{"compress", "3000:200:400:500/gshare/lockup-free"}, "7144362bc9c22ab3"},
-    {{"compress", "3000:200:400:500/tage/perfect"}, "a8046917f5d012f2"},
-    {{"compress", "3000:200:400:500/tage/lockup"}, "152a5261b277715f"},
-    {{"compress", "3000:200:400:500/tage/lockup-free"}, "0a9b51be0a5eb232"},
-    {{"compress", "3000:200:400:500/small-caches"}, "a1e03c28528ebcda"},
 };
 
 TEST(CkptSampling, RestoredWarmStatesMatchFrozenReplayVerdicts)
@@ -278,31 +247,28 @@ TEST(CkptSampling, RestoredWarmStatesMatchFrozenReplayVerdicts)
         EXPECT_EQ(fnv1aHex(serve::pointRecordJson(r)), it->second)
             << w.spec->name << "/" << label;
     };
-    // gcc1 stresses the predictors, compress the data cache; warmff 0
-    // warms whole gaps, 500 a bounded tail of each.
+    // gcc1 stresses the predictors, compress the data cache.
+    const std::string spec = "3000:200:400";
     for (const char *name : {"gcc1", "compress"}) {
         const Workload w = buildWorkload(name, 2);
-        for (const std::string spec :
-             {"3000:200:400", "3000:200:400:500"}) {
-            for (const std::string &pred : predictorSpecs()) {
-                for (const auto &[kind, kind_name] : caches) {
-                    CoreConfig cfg = exp::paperConfig(4, 96);
-                    cfg.sampling = parseSamplingSpec(spec);
-                    cfg.predictor = pred;
-                    cfg.cacheKind = kind;
-                    expectFrozen(cfg, w,
-                                 spec + "/" + pred + "/" + kind_name);
-                }
+        for (const std::string &pred : predictorSpecs()) {
+            for (const auto &[kind, kind_name] : caches) {
+                CoreConfig cfg = exp::paperConfig(4, 96);
+                cfg.sampling = parseSamplingSpec(spec);
+                cfg.predictor = pred;
+                cfg.cacheKind = kind;
+                expectFrozen(cfg, w,
+                             spec + "/" + pred + "/" + kind_name);
             }
-            // Caches small enough to evict: the restored per-set
-            // recency ranks decide the detailed run's victims.
-            CoreConfig cfg = exp::paperConfig(4, 96);
-            cfg.sampling = parseSamplingSpec(spec);
-            cfg.dcache.sizeBytes = 512;
-            cfg.dcache.assoc = 2;
-            cfg.icache.sizeBytes = 256;
-            expectFrozen(cfg, w, spec + "/small-caches");
         }
+        // Caches small enough to evict: the restored per-set recency
+        // ranks decide the detailed run's victims.
+        CoreConfig cfg = exp::paperConfig(4, 96);
+        cfg.sampling = parseSamplingSpec(spec);
+        cfg.dcache.sizeBytes = 512;
+        cfg.dcache.assoc = 2;
+        cfg.icache.sizeBytes = 256;
+        expectFrozen(cfg, w, spec + "/small-caches");
     }
 }
 
@@ -375,8 +341,6 @@ TEST(CkptStore, WarmKeyCoversExactlyTheFieldsWarmingReads)
          [](CoreConfig &c) { c.sampling.window = 300; }},
         {"sampling.warmup", false,
          [](CoreConfig &c) { c.sampling.warmup = 300; }},
-        {"sampling.warmff", true,
-         [](CoreConfig &c) { c.sampling.warmff = 700; }},
         {"deadlockCycles", false,
          [](CoreConfig &c) { c.deadlockCycles = 1000; }},
         {"auditInterval", false,
@@ -398,7 +362,7 @@ TEST(CkptStore, WarmKeyCoversExactlyTheFieldsWarmingReads)
     // new field above (and to WarmKey, if warming reads it) would
     // share warm states across configs that warm differently.
     // x86-64 / libstdc++, matching CI.
-    EXPECT_EQ(sizeof(CoreConfig), 224u)
+    EXPECT_EQ(sizeof(CoreConfig), 216u)
         << "CoreConfig changed — audit warmKeyFor() coverage";
     EXPECT_EQ(sizeof(CacheConfig), 48u)
         << "CacheConfig changed — audit warmKeyFor() coverage";

@@ -49,18 +49,13 @@ TEST(SamplingSpec, DefaultsDeriveFromInterval)
     const SamplingConfig sw = parseSamplingSpec("40000:500");
     EXPECT_EQ(sw.window, 500u);
     EXPECT_EQ(sw.warmup, 500u);
-    // warmff defaults to 0: functionally warm across the whole gap.
-    EXPECT_EQ(sw.warmff, 0u);
 }
 
-TEST(SamplingSpec, WarmffFieldParses)
+TEST(SamplingSpec, FourthFieldIsRejected)
 {
-    const SamplingConfig sc =
-        parseSamplingSpec("120000:500:500:4000");
-    EXPECT_EQ(sc.interval, 120000u);
-    EXPECT_EQ(sc.window, 500u);
-    EXPECT_EQ(sc.warmup, 500u);
-    EXPECT_EQ(sc.warmff, 4000u);
+    // I:W:U is the whole grammar: every window warms its whole gap,
+    // so there is no warming horizon to give.
+    EXPECT_THROW(parseSamplingSpec("3000:200:400:500"), FatalError);
 }
 
 TEST(SamplingSpec, RejectsGarbageAndInfeasible)

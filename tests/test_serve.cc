@@ -335,7 +335,7 @@ TEST(PointCache, KeyCoversEveryResultAffectingInput)
     // would silently serve stale cache entries for the new knob.  If
     // this fails, add the field to the key text (or document why it
     // cannot affect results) and then update the expected size.  x86-64 / libstdc++, matching CI.
-    EXPECT_EQ(sizeof(CoreConfig), 224u)
+    EXPECT_EQ(sizeof(CoreConfig), 216u)
         << "CoreConfig changed — audit pointKeyText() key coverage";
 }
 
@@ -1069,11 +1069,20 @@ TEST(Protocol, SamplingKeyValidatedAndApplied)
         EXPECT_EQ(client.readReply().at("code").asString(),
                   "bad-request");
 
-        // A valid sampled run: every point record carries the
-        // sampled block.
+        // Every window warms its whole gap: warmff may only be 0.
+        client.sendLine("{\"verb\":\"run\"," + spec +
+                        ",\"sampling\":{\"interval\":600,"
+                        "\"window\":100,\"warmup\":100,"
+                        "\"warmff\":200}}");
+        EXPECT_EQ(client.readReply().at("code").asString(),
+                  "bad-request");
+
+        // A valid sampled run, on the connection that saw every
+        // refusal: every point record carries the sampled block.
         client.sendLine("{\"verb\":\"run\",\"id\":\"s1\"," + spec +
                         ",\"sampling\":{\"interval\":600,"
-                        "\"window\":100,\"warmup\":100}}");
+                        "\"window\":100,\"warmup\":100,"
+                        "\"warmff\":0}}");
         reply = client.readReply();
         ASSERT_EQ(reply.at("reply").asString(), "ack");
         const std::uint64_t points = reply.at("points").asU64();
@@ -1144,7 +1153,7 @@ TEST(Protocol, StatsReportsCheckpointLibraryCounters)
             "{\"verb\":\"run\",\"spec\":{\"name\":\"tiny\","
             "\"axes\":{\"width\":[4],\"regs\":[64,80]}},"
             "\"sampling\":{\"interval\":600,\"window\":100,"
-            "\"warmup\":100,\"warmff\":200}}");
+            "\"warmup\":100}}");
         json::Value reply = client.readReply();
         ASSERT_EQ(reply.at("reply").asString(), "ack");
         for (;;) {

@@ -116,7 +116,15 @@ drsim::tools::benchVerb(int argc, const char *const *argv)
     // rather than in the registry library.
     setExternalRunner("micro", bench::runMicroBenchmarks);
 
-    RunContext ctx = RunContext::fromEnv();
+    // DRSIM_SAMPLE is the --sample default: a malformed one is a
+    // usage error too.
+    RunContext ctx;
+    try {
+        ctx = RunContext::fromEnv();
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "drsim bench: %s\n", e.what());
+        return 2;
+    }
     bool list = false;
     bool dry_run = false;
     std::string filter;

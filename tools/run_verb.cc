@@ -97,12 +97,10 @@ reportSampled(const SimResult &r, const CoreConfig &cfg)
     std::printf("%-26s %s\n", "stop reason",
                 r.stopReason == StopReason::Halted ? "program halted"
                                                    : "instruction limit");
-    std::printf("%-26s %llu:%llu:%llu:%llu\n",
-                "sampling (I:W:U:warmff)",
+    std::printf("%-26s %llu:%llu:%llu\n", "sampling (I:W:U)",
                 (unsigned long long)cfg.sampling.interval,
                 (unsigned long long)cfg.sampling.window,
-                (unsigned long long)cfg.sampling.warmup,
-                (unsigned long long)cfg.sampling.warmff);
+                (unsigned long long)cfg.sampling.warmup);
     std::printf("%-26s %llu\n", "measured windows",
                 (unsigned long long)s.windows);
     std::printf("%-26s %.3f +/- %.3f\n", "commit IPC estimate (95%)",
@@ -200,20 +198,20 @@ drsim::tools::runVerb(int argc, const char *const *argv)
     p.addString("trace", &trace_file,
                 "write a per-instruction pipeline trace to this file");
     p.addString("sample", &sample,
-                "I[:W[:U[:F]]] interval-sampled run: print the sampled "
+                "I[:W[:U]] interval-sampled run: print the sampled "
                 "IPC estimate instead of a full-detail run "
                 "($DRSIM_SAMPLE; same spec as drsim bench --sample)");
 
-    SamplingConfig sampling = exp::samplingFromEnv();
     if (const auto rc = p.parseCommandLine(argc, argv, "drsim run"))
         return *rc;
-    if (!sample.empty()) {
-        try {
-            sampling = exp::parseSamplingSpec(sample);
-        } catch (const FatalError &e) {
-            std::fprintf(stderr, "drsim run: %s\n", e.what());
-            return 2;
-        }
+    // A malformed spec is a usage error, from the flag or the env.
+    SamplingConfig sampling;
+    try {
+        sampling = sample.empty() ? exp::samplingFromEnv()
+                                  : exp::parseSamplingSpec(sample);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "drsim run: %s\n", e.what());
+        return 2;
     }
     if (sampling.enabled() && !trace_file.empty()) {
         std::fprintf(stderr, "drsim run: --trace needs a full-detail "
