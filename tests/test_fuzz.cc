@@ -4,7 +4,8 @@
  * programs are run through the full timing simulator under differing
  * machine configurations; every run must commit exactly the
  * architectural instruction stream of the functional emulator and
- * reach the same final state.
+ * reach the same final state.  The emulator's fast-forward must reach
+ * that state too.
  *
  * The generator emits a counted outer loop whose body is a random mix
  * of ALU ops, FP ops, loads/stores with random (but in-bounds) base
@@ -195,6 +196,22 @@ TEST_P(FuzzEquivalence, AllConfigsCommitTheArchitecturalStream)
             << "width=" << c.width << " regs=" << c.regs;
         EXPECT_EQ(proc.windowSize(), 0u);
     }
+}
+
+TEST_P(FuzzEquivalence, FastForwardReachesTheArchitecturalState)
+{
+    const Program prog = randomProgram(GetParam());
+    const FuzzRef ref = reference(prog);
+
+    // fastForward() stops in front of the Halt; one stepArch()
+    // commits it, as the detailed core would.
+    Emulator emu(prog);
+    EXPECT_EQ(emu.fastForward(~std::uint64_t{0}), ref.steps - 1);
+    ASSERT_FALSE(emu.fetchBlocked());
+    EXPECT_TRUE(emu.stepArch().isHalt);
+    EXPECT_TRUE(emu.fetchBlocked());
+    EXPECT_EQ(emu.stepsExecuted(), ref.steps);
+    EXPECT_EQ(emu.stateHash(), ref.hash);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzEquivalence,
