@@ -50,6 +50,17 @@ struct SamplingConfig
 
     bool enabled() const { return interval != 0; }
 
+    /**
+     * True when warmup + window is shorter than the interval, so every
+     * period fast-forwards something.  Compares with what the interval
+     * leaves instead of forming the sum, which may wrap.
+     */
+    bool
+    leavesFastForward() const
+    {
+        return warmup < interval && window < interval - warmup;
+    }
+
     bool operator==(const SamplingConfig &) const = default;
 };
 

@@ -100,17 +100,19 @@ checkCoreConfig(const CoreConfig &cfg)
                 "sampling enabled with a zero-length measured "
                 "window: no IPC samples would ever be taken");
         }
-        if (sc.warmup >= sc.interval) {
-            add(out, "sampling-warmup-ge-interval", true,
-                str("sampling warmup (", sc.warmup,
-                    ") must be shorter than the interval (",
-                    sc.interval, ")"));
-        } else if (sc.window >= sc.interval - sc.warmup) {
-            add(out, "sampling-no-fast-forward", true,
-                str("sampling interval (", sc.interval,
-                    ") must exceed warmup + window (", sc.warmup,
-                    " + ", sc.window,
-                    "): nothing would be fast-forwarded"));
+        if (!sc.leavesFastForward()) {
+            if (sc.warmup >= sc.interval) {
+                add(out, "sampling-warmup-ge-interval", true,
+                    str("sampling warmup (", sc.warmup,
+                        ") must be shorter than the interval (",
+                        sc.interval, ")"));
+            } else {
+                add(out, "sampling-no-fast-forward", true,
+                    str("sampling interval (", sc.interval,
+                        ") must exceed warmup + window (", sc.warmup,
+                        " + ", sc.window,
+                        "): nothing would be fast-forwarded"));
+            }
         }
     }
 

@@ -177,16 +177,6 @@ ProcStats::merge(const ProcStats &other)
 }
 
 void
-Processor::restoreArchState(const EmuArchState &state)
-{
-    if (now_ != 0 || stats_.committed != 0 || !window_.empty()) {
-        DRSIM_PANIC(
-            "restoreArchState() on a machine that already ran");
-    }
-    emu_.restoreArchState(state);
-}
-
-void
 Processor::restoreWarmState(const WarmState &state)
 {
     if (now_ != 0 || stats_.committed != 0 || !window_.empty()) {
@@ -196,29 +186,6 @@ Processor::restoreWarmState(const WarmState &state)
     icache_.restoreWarmState(state.icache);
     dcache_.restoreWarmState(state.dcache);
     pred_->restoreState(state.predictor);
-}
-
-std::uint64_t
-Processor::fastForward(std::uint64_t n)
-{
-    // Drain: stop fetching and let the in-flight window resolve.
-    // Outstanding branches execute (possibly rolling the emulator
-    // back), so once the window empties the emulator's speculative
-    // state has converged to the architectural state and no live
-    // checkpoints remain.
-    draining_ = true;
-    while (!done() && !window_.empty())
-        tick();
-    draining_ = false;
-    if (done())
-        return 0;
-
-    // Fetch restarts cold after the jump: the last-fetched-line
-    // memo and any pending instruction-cache stall refer to the
-    // pre-jump PC.
-    lastFetchLineValid_ = false;
-    icacheStallUntil_ = 0;
-    return emu_.fastForward(n);
 }
 
 void
@@ -968,7 +935,7 @@ Processor::insertStage()
 
     int budget = config_.insertWidth();
     while (budget > 0) {
-        if (draining_ || emu_.fetchBlocked()) {
+        if (emu_.fetchBlocked()) {
             obs_.fetchBlocked = true;
             break;
         }

@@ -239,9 +239,12 @@ class Processor
     /**
      * Construct with the emulator already in @p restore_from, skipping
      * the initial-image build entirely (one bulk snapshot copy instead
-     * of three passes over the data segment).  Equivalent to
-     * construction followed by restoreArchState(); the sampling
-     * driver's per-window tasks use this on every checkpoint restore.
+     * of three passes over the data segment).  Equivalent to a fresh
+     * machine whose emulator then ran Emulator::restoreArchState();
+     * the sampling driver's per-window tasks (DESIGN.md §5j) use this
+     * on every checkpoint restore.  Microarchitectural state (caches,
+     * predictor, rename) stays at reset — restoreWarmState() and the
+     * stat-gated warm-up re-fill it.
      */
     Processor(const CoreConfig &config, const Program &program,
               const EmuArchState &restore_from);
@@ -258,31 +261,6 @@ class Processor
      * ends.
      */
     void runDetailed(std::uint64_t target_committed);
-
-    /**
-     * Sampling fast-forward: drain the pipeline (no new fetches until
-     * the in-flight window empties, resolving every outstanding
-     * branch), then functionally execute up to @p n instructions on
-     * the emulator with the timing model switched off.  Caches,
-     * predictor tables, and the register file keep their state, so a
-     * subsequent detailed warm-up starts from a still-warm machine.
-     * Returns the number of instructions fast-forwarded (less than
-     * @p n when the program's halt is closer than @p n, zero when the
-     * drain itself ended the run).  Simulated time does not advance
-     * during the functional phase.
-     */
-    std::uint64_t fastForward(std::uint64_t n);
-
-    /**
-     * Restore a saved architectural snapshot into a *fresh* machine
-     * (no cycles run, nothing fetched): the sampling driver constructs
-     * one Processor per measured window and resumes it from the
-     * interval's checkpoint (DESIGN.md §5j).  Microarchitectural state
-     * (caches, predictor, rename) stays at reset — restoreWarmState()
-     * and the stat-gated warm-up re-fill it.  Panics if the machine
-     * already ran.
-     */
-    void restoreArchState(const EmuArchState &state);
 
     /**
      * Restore functionally warmed microarchitectural state (DESIGN.md
@@ -546,8 +524,6 @@ class Processor
     bool lastFetchLineValid_ = false;
     Addr lastFetchLine_ = 0;
     Cycle icacheStallUntil_ = 0;
-    /** fastForward() drain: the insert stage fetches nothing. */
-    bool draining_ = false;
     /** Histogram gate for sampling warm-up (see setStatsGate). */
     bool statsGated_ = false;
     /// @}

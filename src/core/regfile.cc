@@ -31,10 +31,7 @@ CoreConfig::validate() const
     if (sampling.enabled()) {
         if (sampling.window == 0)
             fatal("sampling needs a nonzero measured window");
-        // warmup + window may wrap: compare with what the interval
-        // leaves.
-        if (sampling.warmup >= sampling.interval ||
-            sampling.window >= sampling.interval - sampling.warmup) {
+        if (!sampling.leavesFastForward()) {
             fatal("sampling interval (", sampling.interval,
                   ") must exceed warmup + window (", sampling.warmup,
                   " + ", sampling.window,

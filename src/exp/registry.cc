@@ -80,9 +80,7 @@ parseSamplingSpec(const std::string &text)
     sc.warmup = nfields >= 3 ? fields[2] : sc.window;
     if (sc.window == 0)
         fatal("bad sampling spec '", text, "': window must be > 0");
-    // warmup + window may wrap: compare with what the interval leaves.
-    if (sc.warmup >= sc.interval ||
-        sc.window >= sc.interval - sc.warmup) {
+    if (!sc.leavesFastForward()) {
         fatal("bad sampling spec '", text, "': interval (",
               sc.interval, ") must exceed warmup + window (",
               sc.warmup, " + ", sc.window, ")");

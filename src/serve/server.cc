@@ -503,9 +503,7 @@ Server::handleRun(int fd, std::uint64_t connId,
         sc.interval = v->at("interval").asU64();
         sc.window = v->at("window").asU64();
         sc.warmup = v->at("warmup").asU64();
-        if (sc.interval == 0 || sc.window == 0 ||
-            sc.warmup >= sc.interval ||
-            sc.window >= sc.interval - sc.warmup) {
+        if (sc.window == 0 || !sc.leavesFastForward()) {
             sendError(fd, id, "bad-request",
                       "infeasible sampling parameters: interval must "
                       "exceed warmup + window (all nonzero)");
