@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "analysis/cfg.hh"
+#include "analysis/dataflow.hh"
 #include "common/json.hh"
 #include "isa/instruction.hh"
 
@@ -15,22 +16,6 @@ namespace analysis {
 
 namespace {
 
-// ------------------------------------------------------------------
-// Register bitset helpers: bit index = class * 32 + register index.
-// ------------------------------------------------------------------
-
-using RegSet = std::uint64_t;
-
-constexpr RegSet
-regBit(RegId r)
-{
-    return RegSet{1} << (std::size_t(r.cls) * 32u + r.index);
-}
-
-/** The hardwired zero registers are always "assigned". */
-constexpr RegSet kZeroRegs =
-    (RegSet{1} << kZeroReg) | (RegSet{1} << (32 + kZeroReg));
-
 const char *
 regName(RegClass cls, int index)
 {
@@ -38,25 +23,6 @@ regName(RegClass cls, int index)
     std::snprintf(buf, sizeof(buf), "%s%d",
                   cls == RegClass::Int ? "r" : "f", index);
     return buf;
-}
-
-/** Source registers an instruction reads (0, 1 or 2 of them). */
-int
-readRegs(const Instruction &inst, RegId out[2])
-{
-    int n = 0;
-    if (inst.src1.valid())
-        out[n++] = inst.src1;
-    if (inst.src2.valid())
-        out[n++] = inst.src2;
-    return n;
-}
-
-/** Destination register, invalid when the op produces no value. */
-RegId
-writtenReg(const Instruction &inst)
-{
-    return inst.dest;
 }
 
 Finding
@@ -126,30 +92,25 @@ defUseFindings(const ProgramCfg &cfg, const Options &opts,
                std::vector<Finding> &out)
 {
     const Program &prog = cfg.program();
-    const std::size_t n = cfg.nodes().size();
 
-    RegSet entry_set = kZeroRegs;
+    // The hardwired zero registers are never renamed, so no check
+    // below looks at them.
+    RegSet entry_set = 0;
     for (const RegId r : opts.abiInitializedRegs)
-        if (r.valid())
-            entry_set |= regBit(r);
+        if (r.renamed())
+            entry_set |= regSetBit(r);
 
     // Forward must-analysis: registers definitely written on *every*
     // path from entry to block start.  Join = intersection.
-    constexpr RegSet kUniverse = ~RegSet{0};
-    std::vector<RegSet> in(n, kUniverse);
-    if (cfg.entry() >= 0)
-        in[std::size_t(cfg.entry())] = entry_set;
+    std::vector<RegSet> in(cfg.nodes().size(), ~RegSet{0});
+    in[std::size_t(cfg.entry())] = entry_set;
     bool changed = true;
     while (changed) {
         changed = false;
         for (const int b : cfg.rpo()) {
             RegSet state = in[std::size_t(b)];
-            for (const Instruction &inst :
-                 prog.block(b).insts) {
-                const RegId w = writtenReg(inst);
-                if (w.renamed())
-                    state |= regBit(w);
-            }
+            for (const Instruction &inst : prog.block(b).insts)
+                state |= writeSet(inst);
             for (const int s : cfg.node(b).succs) {
                 const RegSet merged = in[std::size_t(s)] & state;
                 if (merged != in[std::size_t(s)]) {
@@ -160,22 +121,18 @@ defUseFindings(const ProgramCfg &cfg, const Options &opts,
         }
     }
 
-    // Check walk: first uninitialized read of each register.
+    // Check walk: first uninitialized read of each register, src1
+    // before src2.
     RegSet reported = 0;
     for (const int b : cfg.rpo()) {
         RegSet state = in[std::size_t(b)];
         const auto &insts = prog.block(b).insts;
         for (int i = 0; i < int(insts.size()); ++i) {
             const Instruction &inst = insts[std::size_t(i)];
-            RegId reads[2];
-            const int nr = readRegs(inst, reads);
-            for (int k = 0; k < nr; ++k) {
-                const RegId r = reads[k];
-                if (r.isZero() || (regBit(r) & state) ||
-                    (regBit(r) & reported)) {
+            for (const RegId r : {inst.src1, inst.src2}) {
+                if (!r.renamed() || (regSetBit(r) & (state | reported)))
                     continue;
-                }
-                reported |= regBit(r);
+                reported |= regSetBit(r);
                 std::ostringstream os;
                 os << "read of " << regName(r.cls, r.index)
                    << " before any write reaches it (first of "
@@ -185,72 +142,28 @@ defUseFindings(const ProgramCfg &cfg, const Options &opts,
                                           Severity::Error, prog, b, i,
                                           os.str()));
             }
-            const RegId w = writtenReg(inst);
-            if (w.renamed())
-                state |= regBit(w);
+            state |= writeSet(inst);
         }
     }
 
-    // Backward may-analysis: liveness.  gen = upward-exposed reads,
-    // kill = writes; live-in = gen | (live-out & ~kill).
-    std::vector<RegSet> gen(n, 0), kill(n, 0), live_out(n, 0);
+    // Dead-write walk: each block backward from its live-out set.
+    const LivenessResult live = computeLiveness(cfg);
     for (const int b : cfg.rpo()) {
-        RegSet g = 0, k = 0;
-        for (const Instruction &inst : prog.block(b).insts) {
-            RegId reads[2];
-            const int nr = readRegs(inst, reads);
-            for (int i = 0; i < nr; ++i)
-                if (!(regBit(reads[i]) & k))
-                    g |= regBit(reads[i]);
-            const RegId w = writtenReg(inst);
-            if (w.renamed())
-                k |= regBit(w);
-        }
-        gen[std::size_t(b)] = g;
-        kill[std::size_t(b)] = k;
-    }
-    changed = true;
-    while (changed) {
-        changed = false;
-        for (auto it = cfg.rpo().rbegin(); it != cfg.rpo().rend();
-             ++it) {
-            const int b = *it;
-            RegSet lo = 0;
-            for (const int s : cfg.node(b).succs) {
-                lo |= gen[std::size_t(s)] |
-                      (live_out[std::size_t(s)] &
-                       ~kill[std::size_t(s)]);
-            }
-            if (lo != live_out[std::size_t(b)]) {
-                live_out[std::size_t(b)] = lo;
-                changed = true;
-            }
-        }
-    }
-
-    // Dead-write walk (reverse per block).
-    for (const int b : cfg.rpo()) {
-        RegSet live = live_out[std::size_t(b)];
+        RegSet cur = live.liveOut[std::size_t(b)];
         const auto &insts = prog.block(b).insts;
         for (int i = int(insts.size()) - 1; i >= 0; --i) {
             const Instruction &inst = insts[std::size_t(i)];
-            const RegId w = writtenReg(inst);
-            if (w.renamed()) {
-                if (!(regBit(w) & live)) {
-                    std::ostringstream os;
-                    os << "value written to "
-                       << regName(w.cls, w.index)
-                       << " is never read on any path";
-                    out.push_back(makeFinding(
-                        rules::kDeadWrite, Severity::Warning, prog, b,
-                        i, os.str()));
-                }
-                live &= ~regBit(w);
+            const RegSet w = writeSet(inst);
+            if (w & ~cur) {
+                std::ostringstream os;
+                os << "value written to "
+                   << regName(inst.dest.cls, inst.dest.index)
+                   << " is never read on any path";
+                out.push_back(makeFinding(rules::kDeadWrite,
+                                          Severity::Warning, prog, b, i,
+                                          os.str()));
             }
-            RegId reads[2];
-            const int nr = readRegs(inst, reads);
-            for (int k = 0; k < nr; ++k)
-                live |= regBit(reads[k]);
+            cur = (cur & ~w) | readSet(inst);
         }
     }
 }

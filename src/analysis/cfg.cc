@@ -71,7 +71,6 @@ ProgramCfg::ProgramCfg(const Program &program) : prog_(program)
     }
 
     // Pass 2: edges + structural checks.
-    bool any_ret_exit = false;
     for (int b = 0; b < int(blocks.size()); ++b) {
         const auto &bb = blocks[std::size_t(b)];
         if (bb.insts.empty())
@@ -120,12 +119,10 @@ ProgramCfg::ProgramCfg(const Program &program) : prog_(program)
             break;
           }
           case Opcode::Ret:
-            if (ret_targets.empty()) {
-                any_ret_exit = true; // unknown target: exit-like
-            } else {
-                for (const int t : ret_targets)
-                    addEdge(b, t);
-            }
+            // No call site: the target is unknown and the Ret is
+            // exit-like (computeReachability seeds canExit from it).
+            for (const int t : ret_targets)
+                addEdge(b, t);
             break;
           case Opcode::Beq:
           case Opcode::Bne:
@@ -142,10 +139,9 @@ ProgramCfg::ProgramCfg(const Program &program) : prog_(program)
             break;
         }
     }
-    (void)any_ret_exit;
 
     computeReachability();
-    computeLoopDepths();
+    computeLoops();
 }
 
 void
@@ -183,6 +179,8 @@ ProgramCfg::computeReachability()
         }
     }
     std::reverse(rpo_.begin(), rpo_.end());
+    for (std::size_t i = 0; i < rpo_.size(); ++i)
+        nodes_[std::size_t(rpo_[i])].rpoIndex = int(i);
 
     // Backward reachability from exit nodes: a block "can exit" when
     // some path from it reaches Halt (or an exit-like Ret).
@@ -218,81 +216,82 @@ ProgramCfg::computeReachability()
 }
 
 void
-ProgramCfg::computeLoopDepths()
+ProgramCfg::computeLoops()
 {
     // Back edges via DFS (edge u->v with v on the DFS stack), then
-    // natural-loop bodies: for each header v, the union over back
-    // edges u->v of {v} + everything that reaches u without passing
-    // through v.  Nesting depth = number of distinct headers whose
-    // body contains the block.
+    // natural-loop bodies: for each header v, {v} plus everything
+    // that reaches a tail u of some u->v without passing through v.
+    // Nesting depth = number of loop bodies containing the block.
     const std::size_t n = nodes_.size();
-    std::vector<std::uint8_t> color(n, 0), on_stack(n, 0);
+    std::vector<std::uint8_t> visited(n, 0), on_stack(n, 0);
     std::vector<std::pair<int, int>> back_edges; // (tail, header)
 
     struct Frame { int block; std::size_t next; };
-    std::vector<Frame> stack;
-    if (entry_ < 0)
-        return;
-    stack.push_back({entry_, 0});
-    color[std::size_t(entry_)] = 1;
+    std::vector<Frame> stack = {{entry_, 0}};
+    visited[std::size_t(entry_)] = 1;
     on_stack[std::size_t(entry_)] = 1;
     while (!stack.empty()) {
         Frame &f = stack.back();
         const auto &succs = nodes_[std::size_t(f.block)].succs;
         if (f.next < succs.size()) {
             const int s = succs[f.next++];
-            if (color[std::size_t(s)] == 0) {
-                color[std::size_t(s)] = 1;
+            if (on_stack[std::size_t(s)]) {
+                back_edges.emplace_back(f.block, s);
+            } else if (!visited[std::size_t(s)]) {
+                visited[std::size_t(s)] = 1;
                 on_stack[std::size_t(s)] = 1;
                 stack.push_back({s, 0});
-            } else if (on_stack[std::size_t(s)]) {
-                back_edges.emplace_back(f.block, s);
             }
         } else {
             on_stack[std::size_t(f.block)] = 0;
-            color[std::size_t(f.block)] = 2;
             stack.pop_back();
         }
     }
 
-    // Group back edges by header and collect each header's body.
-    std::vector<std::vector<std::uint8_t>> bodies; // per distinct header
     std::vector<int> headers;
-    for (const auto &[tail, header] : back_edges) {
-        std::size_t idx = 0;
-        for (; idx < headers.size(); ++idx)
-            if (headers[idx] == header)
-                break;
-        if (idx == headers.size()) {
-            headers.push_back(header);
-            bodies.emplace_back(n, std::uint8_t{0});
-            bodies.back()[std::size_t(header)] = 1;
+    for (const auto &edge : back_edges) {
+        if (std::find(headers.begin(), headers.end(), edge.second) ==
+            headers.end()) {
+            headers.push_back(edge.second);
         }
-        auto &body = bodies[idx];
-        // Reverse flood from the tail, stopping at the header.
+    }
+    std::sort(headers.begin(), headers.end());
+
+    for (const int header : headers) {
+        Loop loop;
+        loop.header = header;
+        // Reverse flood from the tails, stopping at the header.
+        std::vector<std::uint8_t> in_body(n, 0);
+        in_body[std::size_t(header)] = 1;
         std::vector<int> work;
-        if (!body[std::size_t(tail)]) {
-            body[std::size_t(tail)] = 1;
-            work.push_back(tail);
+        for (const auto &[tail, h] : back_edges) {
+            if (h != header)
+                continue;
+            loop.tails.push_back(tail);
+            if (!in_body[std::size_t(tail)]) {
+                in_body[std::size_t(tail)] = 1;
+                work.push_back(tail);
+            }
         }
         while (!work.empty()) {
             const int b = work.back();
             work.pop_back();
             for (const int p : nodes_[std::size_t(b)].preds) {
-                if (!nodes_[std::size_t(p)].reachable)
+                if (!nodes_[std::size_t(p)].reachable ||
+                    in_body[std::size_t(p)]) {
                     continue;
-                if (!body[std::size_t(p)]) {
-                    body[std::size_t(p)] = 1;
-                    work.push_back(p);
                 }
+                in_body[std::size_t(p)] = 1;
+                work.push_back(p);
             }
         }
-    }
-    for (std::size_t b = 0; b < n; ++b) {
-        int depth = 0;
-        for (const auto &body : bodies)
-            depth += body[b] ? 1 : 0;
-        nodes_[b].loopDepth = depth;
+        for (std::size_t b = 0; b < n; ++b) {
+            if (in_body[b]) {
+                loop.body.push_back(int(b));
+                ++nodes_[b].loopDepth;
+            }
+        }
+        loops_.push_back(std::move(loop));
     }
 }
 

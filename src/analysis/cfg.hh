@@ -19,7 +19,15 @@
  * Construction also performs the structural checks (dangling branch
  * targets, falling off the end of the code segment, empty programs)
  * and records their findings; downstream passes skip structurally
- * broken programs.
+ * broken programs.  It then derives everything that needs no
+ * dominators: reachability, the reverse postorder, and the natural
+ * loops (the one back-edge search in src/analysis) with each block's
+ * nesting depth.
+ *
+ * Consumers: the verifier passes (analysis.cc), the loop-weighted mix
+ * estimate (mix.cc), and the dataflow machinery behind the static
+ * bounds (dataflow.cc, bounds.cc), which adds dominator-based facts
+ * on top of loops().
  */
 
 #ifndef DRSIM_ANALYSIS_CFG_HH
@@ -48,6 +56,23 @@ class ProgramCfg
         int loopDepth = 0;
         /** Next non-empty block in layout order; -1 past the end. */
         int fallthrough = -1;
+        /** Position in rpo(); -1 when unreachable. */
+        int rpoIndex = -1;
+    };
+
+    /**
+     * One natural loop: a back-edge header plus every block that
+     * reaches one of its back-edge tails without passing through it.
+     * A back edge is an edge into a block still on the stack of the
+     * depth-first search from the entry.
+     */
+    struct Loop
+    {
+        int header = -1;
+        /** Tails of the back edges into the header, in DFS order. */
+        std::vector<int> tails;
+        /** Body block ids, ascending (includes the header). */
+        std::vector<int> body;
     };
 
     explicit ProgramCfg(const Program &program);
@@ -64,6 +89,9 @@ class ProgramCfg
     /** Reverse postorder over reachable blocks (for forward passes). */
     const std::vector<int> &rpo() const { return rpo_; }
 
+    /** Natural loops, one per distinct header, sorted by header. */
+    const std::vector<Loop> &loops() const { return loops_; }
+
     /** Findings raised while building (structural errors). */
     const std::vector<Finding> &structuralFindings() const
     {
@@ -76,11 +104,12 @@ class ProgramCfg
   private:
     void addEdge(int from, int to);
     void computeReachability();
-    void computeLoopDepths();
+    void computeLoops();
 
     const Program &prog_;
     std::vector<Node> nodes_;
     std::vector<int> rpo_;
+    std::vector<Loop> loops_;
     std::vector<Finding> structural_;
     int entry_ = -1;
     bool valid_ = false;

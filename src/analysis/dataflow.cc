@@ -11,28 +11,6 @@ namespace analysis {
 
 namespace {
 
-constexpr RegSet kZeroRegsMask =
-    (RegSet{1} << kZeroReg) | (RegSet{1} << (32 + kZeroReg));
-
-/** Renameable source registers of @p inst as a bitset. */
-RegSet
-readSet(const Instruction &inst)
-{
-    RegSet set = 0;
-    if (inst.src1.renamed())
-        set |= regSetBit(inst.src1);
-    if (inst.src2.renamed())
-        set |= regSetBit(inst.src2);
-    return set;
-}
-
-/** Renameable destination of @p inst as a bitset (0 if none). */
-RegSet
-writeSet(const Instruction &inst)
-{
-    return inst.writesReg() ? regSetBit(inst.dest) : RegSet{0};
-}
-
 /** Flat 0..63 register number, or -1 for invalid/zero registers. */
 int
 flatReg(RegId r)
@@ -75,7 +53,6 @@ computeLiveness(const ProgramCfg &cfg, IterOrder order)
             gen[b] |= readSet(inst) & ~kill[b];
             kill[b] |= writeSet(inst);
         }
-        gen[b] &= ~kZeroRegsMask;
     }
 
     // A backward problem converges fastest visiting blocks in
@@ -133,8 +110,7 @@ computeMaxLive(const ProgramCfg &cfg, const LivenessResult &live,
         observe(cur);
         for (std::size_t i = insts.size(); i-- > 0;) {
             const Instruction &inst = insts[i];
-            cur = (cur & ~writeSet(inst)) |
-                  (readSet(inst) & ~kZeroRegsMask);
+            cur = (cur & ~writeSet(inst)) | readSet(inst);
             observe(cur);
         }
     }
@@ -146,20 +122,16 @@ computeIdoms(const ProgramCfg &cfg)
 {
     const std::size_t n = cfg.nodes().size();
     std::vector<int> idom(n, -1);
-    if (!cfg.valid() || cfg.entry() < 0)
+    if (!cfg.valid())
         return idom;
 
-    // RPO position of each block; unreachable blocks stay at -1 and
-    // never participate.
-    std::vector<int> rpo_pos(n, -1);
-    for (std::size_t i = 0; i < cfg.rpo().size(); ++i)
-        rpo_pos[std::size_t(cfg.rpo()[i])] = int(i);
-
+    // Unreachable blocks have no RPO position and never participate.
+    const auto pos = [&](int b) { return cfg.node(b).rpoIndex; };
     const auto intersect = [&](int a, int b) {
         while (a != b) {
-            while (rpo_pos[std::size_t(a)] > rpo_pos[std::size_t(b)])
+            while (pos(a) > pos(b))
                 a = idom[std::size_t(a)];
-            while (rpo_pos[std::size_t(b)] > rpo_pos[std::size_t(a)])
+            while (pos(b) > pos(a))
                 b = idom[std::size_t(b)];
         }
         return a;
@@ -206,88 +178,20 @@ std::vector<NaturalLoop>
 findNaturalLoops(const ProgramCfg &cfg, const std::vector<int> &idom)
 {
     std::vector<NaturalLoop> loops;
-    if (!cfg.valid() || cfg.entry() < 0)
-        return loops;
-    const std::size_t n = cfg.nodes().size();
-
-    // Retreating edges via iterative DFS (mirrors cfg.cc's loop-depth
-    // pass): an edge to a block still on the DFS stack closes a loop.
-    std::vector<std::uint8_t> visited(n, 0), on_stack(n, 0);
-    std::vector<std::pair<int, std::size_t>> stack;
-    std::vector<std::pair<int, int>> back_edges; // (tail, header)
-    stack.emplace_back(cfg.entry(), 0);
-    visited[std::size_t(cfg.entry())] = 1;
-    on_stack[std::size_t(cfg.entry())] = 1;
-    while (!stack.empty()) {
-        auto &[b, next] = stack.back();
-        const auto &succs = cfg.node(b).succs;
-        if (next < succs.size()) {
-            const int s = succs[next++];
-            if (on_stack[std::size_t(s)]) {
-                back_edges.emplace_back(b, s);
-            } else if (!visited[std::size_t(s)]) {
-                visited[std::size_t(s)] = 1;
-                on_stack[std::size_t(s)] = 1;
-                stack.emplace_back(s, 0);
-            }
-        } else {
-            on_stack[std::size_t(b)] = 0;
-            stack.pop_back();
-        }
-    }
-
-    // Group back edges by header, in header order.
-    std::vector<int> headers;
-    for (const auto &[tail, header] : back_edges) {
-        if (std::find(headers.begin(), headers.end(), header) ==
-            headers.end()) {
-            headers.push_back(header);
-        }
-    }
-    std::sort(headers.begin(), headers.end());
-
-    std::vector<int> rpo_pos(n, -1);
-    for (std::size_t i = 0; i < cfg.rpo().size(); ++i)
-        rpo_pos[std::size_t(cfg.rpo()[i])] = int(i);
-
-    for (const int header : headers) {
+    for (const ProgramCfg::Loop &found : cfg.loops()) {
         NaturalLoop loop;
-        loop.header = header;
-        loop.depth = cfg.node(header).loopDepth;
-
-        // Body: reverse flood from each tail, stopping at the header.
-        std::vector<std::uint8_t> in_body(n, 0);
-        in_body[std::size_t(header)] = 1;
-        std::vector<int> work;
-        for (const auto &[tail, h] : back_edges) {
-            if (h != header)
-                continue;
-            loop.tails.push_back(tail);
+        static_cast<ProgramCfg::Loop &>(loop) = found;
+        loop.depth = cfg.node(loop.header).loopDepth;
+        for (const int t : loop.tails) {
             loop.reducible =
-                loop.reducible && dominates(idom, header, tail);
-            if (!in_body[std::size_t(tail)]) {
-                in_body[std::size_t(tail)] = 1;
-                work.push_back(tail);
-            }
+                loop.reducible && dominates(idom, loop.header, t);
         }
-        while (!work.empty()) {
-            const int b = work.back();
-            work.pop_back();
-            for (const int p : cfg.node(b).preds) {
-                if (!cfg.node(p).reachable || in_body[std::size_t(p)])
-                    continue;
-                in_body[std::size_t(p)] = 1;
-                work.push_back(p);
-            }
-        }
-        for (std::size_t b = 0; b < n; ++b) {
-            if (in_body[b])
-                loop.body.push_back(int(b));
-        }
-
-        for (const int h2 : headers) {
-            if (h2 != header && in_body[std::size_t(h2)])
+        for (const ProgramCfg::Loop &other : cfg.loops()) {
+            if (other.header != loop.header &&
+                std::binary_search(loop.body.begin(), loop.body.end(),
+                                   other.header)) {
                 loop.innermost = false;
+            }
         }
 
         // Must-execute-per-iteration blocks: at the loop's own
@@ -307,8 +211,8 @@ findNaturalLoops(const ProgramCfg &cfg, const std::vector<int> &idom)
             }
             std::sort(loop.mustBody.begin(), loop.mustBody.end(),
                       [&](int a, int b) {
-                          return rpo_pos[std::size_t(a)] <
-                                 rpo_pos[std::size_t(b)];
+                          return cfg.node(a).rpoIndex <
+                                 cfg.node(b).rpoIndex;
                       });
         }
         loops.push_back(std::move(loop));
@@ -442,25 +346,19 @@ maxCycleRatio(const LoopDepGraph &graph)
 double
 dataflowCriticalPath(const ProgramCfg &cfg)
 {
-    if (!cfg.valid() || cfg.entry() < 0)
+    if (!cfg.valid())
         return 0.0;
-    const std::size_t n = cfg.nodes().size();
-
-    std::vector<int> rpo_pos(n, -1);
-    for (std::size_t i = 0; i < cfg.rpo().size(); ++i)
-        rpo_pos[std::size_t(cfg.rpo()[i])] = int(i);
-
     // Per-register value-ready times at each processed block's exit;
     // a block's entry state is the elementwise max over its forward
     // predecessors (retreating edges cut — "loops unrolled once").
-    std::vector<std::vector<double>> exit_ready(n);
+    std::vector<std::vector<double>> exit_ready(cfg.nodes().size());
     double critical = 0.0;
 
     for (const int b : cfg.rpo()) {
         std::vector<double> ready(2 * kNumVirtualRegs, 0.0);
         for (const int p : cfg.node(b).preds) {
-            if (rpo_pos[std::size_t(p)] < 0 ||
-                rpo_pos[std::size_t(p)] >= rpo_pos[std::size_t(b)] ||
+            if (cfg.node(p).rpoIndex < 0 ||
+                cfg.node(p).rpoIndex >= cfg.node(b).rpoIndex ||
                 exit_ready[std::size_t(p)].empty()) {
                 continue;
             }

@@ -1,10 +1,11 @@
 /**
  * @file
- * Value-dataflow machinery over a ProgramCfg: liveness with MaxLive,
- * dominators, natural-loop discovery, and the SSA-style value
- * dependence graph per loop (the loop's must-execute body linearized
- * into one iteration, def->use edges annotated with producer latency
- * and iteration distance).
+ * Value-dataflow machinery over a ProgramCfg: the register bitsets
+ * every pass shares, liveness with MaxLive, dominators, the
+ * dominator-based facts about ProgramCfg's natural loops, and the
+ * SSA-style value dependence graph per loop (the loop's must-execute
+ * body linearized into one iteration, def->use edges annotated with
+ * producer latency and iteration distance).
  *
  * Everything here is *sound in the bound-producing direction* (see
  * bounds.hh): dependence edges are added only when the consumed value
@@ -15,8 +16,10 @@
  * static analysis cannot know the cache).  Dropping an edge can only
  * weaken a lower bound on iteration time, never overstate it.
  *
- * Consumers: bounds.cc (static IPC / register-pressure bounds),
- * `drsim lint --bounds`, and the runtime cross-check gates in src/sim.
+ * Consumers: the verifier's dead-write pass (analysis.cc reads
+ * computeLiveness), bounds.cc (static IPC / register-pressure
+ * bounds), `drsim lint --bounds`, and the runtime cross-check gates
+ * in src/sim.
  */
 
 #ifndef DRSIM_ANALYSIS_DATAFLOW_HH
@@ -38,6 +41,25 @@ constexpr RegSet
 regSetBit(RegId r)
 {
     return RegSet{1} << (std::size_t(r.cls) * 32u + r.index);
+}
+
+/** Renameable source registers of @p inst (zero registers never). */
+inline RegSet
+readSet(const Instruction &inst)
+{
+    RegSet set = 0;
+    if (inst.src1.renamed())
+        set |= regSetBit(inst.src1);
+    if (inst.src2.renamed())
+        set |= regSetBit(inst.src2);
+    return set;
+}
+
+/** Renameable destination of @p inst as a bitset (0 if none). */
+inline RegSet
+writeSet(const Instruction &inst)
+{
+    return inst.writesReg() ? regSetBit(inst.dest) : RegSet{0};
 }
 
 /** Number of set bits belonging to @p cls (zero regs not special). */
@@ -98,28 +120,25 @@ std::vector<int> computeIdoms(const ProgramCfg &cfg);
 bool dominates(const std::vector<int> &idom, int a, int b);
 
 /**
- * One natural loop (one distinct back-edge header).  `mustBody` is
- * the subset of the body guaranteed to execute exactly once per
- * iteration: blocks at the loop's own nesting depth that dominate
- * every back-edge tail, in reverse postorder (header first).  For
- * irreducible loops (a back edge whose header does not dominate its
- * tail) `reducible` is false and `mustBody` stays empty — the
+ * One of ProgramCfg::loops() with the facts that need dominators.
+ * `mustBody` is the subset of the body guaranteed to execute exactly
+ * once per iteration: blocks at the loop's own nesting depth that
+ * dominate every back-edge tail, in reverse postorder (header first).
+ * For irreducible loops (a back edge whose header does not dominate
+ * its tail) `reducible` is false and `mustBody` stays empty — the
  * recurrence analysis refuses to guess.
  */
-struct NaturalLoop
+struct NaturalLoop : ProgramCfg::Loop
 {
-    int header = -1;
     /** Nesting depth of the header (1 = outermost loop). */
     int depth = 0;
     bool reducible = true;
     /** No other loop header nested inside this body. */
     bool innermost = true;
-    std::vector<int> tails;
-    /** Body block ids, ascending (includes the header). */
-    std::vector<int> body;
     std::vector<int> mustBody;
 };
 
+/** cfg.loops() in the same order, with @p idom's facts added. */
 std::vector<NaturalLoop> findNaturalLoops(const ProgramCfg &cfg,
                                           const std::vector<int> &idom);
 

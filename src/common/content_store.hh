@@ -1,10 +1,13 @@
 /**
  * @file
- * The content-addressed store behind every drsim cache: the sweep-point
- * cache (serve/point_cache), the checkpoint library (sim/ckpt_store)
- * and the serve daemon's memory tier (serve/service).  Each client owns
- * only its key text, its payload encoding and its statistics; every
- * storage decision lives here (DESIGN.md §5g).
+ * The content-addressed store behind every drsim cache.  The disk tier
+ * (ContentStore) has one client, the sweep-point cache
+ * (serve/point_cache).  The memory tier (MemoryTier) keeps the
+ * checkpoint library's plans and warm states (sim/ckpt_store, memory
+ * only), the serve daemon's resident points (serve/service) and its
+ * suite memo (serve/server).  Each client owns only its key text, its
+ * payload encoding and its statistics; every storage decision lives
+ * here (DESIGN.md §5g).
  *
  * Disk tier: an entry is an immutable file <dir>/<hh>/<hash><suffix>,
  * where <hh> is the first two digits of the hash of the client's key

@@ -8,12 +8,27 @@
 namespace drsim {
 namespace exp {
 
+namespace {
+
+/** "w4", "r80", ...: built by appending, because GCC 12 at -O3 flags
+ *  `"w" + std::to_string(n)` with a false -Wrestrict positive. */
+template <typename T>
+std::string
+numberedLabel(const char *prefix, T n)
+{
+    std::string label = prefix;
+    label += std::to_string(n);
+    return label;
+}
+
+} // namespace
+
 Axis
 widthAxis(const std::vector<int> &widths)
 {
     Axis axis{"width", kRankWidth, {}};
     for (const int w : widths) {
-        axis.values.push_back({"w" + std::to_string(w),
+        axis.values.push_back({numberedLabel("w", w),
                                [w](CoreConfig &cfg) {
                                    cfg.issueWidth = w;
                                    cfg.dqSize = w == 4 ? 32 : 64;
@@ -27,7 +42,7 @@ dqAxis(const std::vector<int> &sizes)
 {
     Axis axis{"dq", kRankOther, {}};
     for (const int dq : sizes) {
-        axis.values.push_back({"dq" + std::to_string(dq),
+        axis.values.push_back({numberedLabel("dq", dq),
                                [dq](CoreConfig &cfg) {
                                    cfg.dqSize = dq;
                                }});
@@ -40,7 +55,7 @@ regsAxis(const std::vector<int> &regs)
 {
     Axis axis{"regs", kRankRegs, {}};
     for (const int r : regs) {
-        axis.values.push_back({"r" + std::to_string(r),
+        axis.values.push_back({numberedLabel("r", r),
                                [r](CoreConfig &cfg) {
                                    cfg.numPhysRegs = r;
                                }});
@@ -80,7 +95,7 @@ mshrAxis(const std::vector<std::uint32_t> &bounds)
     Axis axis{"mshrs", kRankOther, {}};
     for (const std::uint32_t b : bounds) {
         axis.values.push_back(
-            {b == 0 ? "mshr-unlimited" : "mshr" + std::to_string(b),
+            {b == 0 ? "mshr-unlimited" : numberedLabel("mshr", b),
              [b](CoreConfig &cfg) {
                  cfg.dcache.maxOutstandingMisses = b;
              }});
@@ -94,7 +109,7 @@ writeBufferAxis(const std::vector<std::uint32_t> &entries)
     Axis axis{"write_buffer", kRankOther, {}};
     for (const std::uint32_t e : entries) {
         axis.values.push_back(
-            {e == 0 ? "wb-unlimited" : "wb" + std::to_string(e),
+            {e == 0 ? "wb-unlimited" : numberedLabel("wb", e),
              [e](CoreConfig &cfg) {
                  cfg.dcache.writeBufferEntries = e;
              }});
@@ -107,7 +122,7 @@ writeBufferDrainAxis(const std::vector<Cycle> &cycles)
 {
     Axis axis{"write_buffer_drain", kRankOther, {}};
     for (const Cycle c : cycles) {
-        axis.values.push_back({"drain" + std::to_string(c),
+        axis.values.push_back({numberedLabel("drain", c),
                                [c](CoreConfig &cfg) {
                                    cfg.dcache.writeBufferDrainCycles =
                                        c;
@@ -134,7 +149,7 @@ resultBusAxis(const std::vector<int> &buses)
     Axis axis{"result_buses", kRankOther, {}};
     for (const int b : buses) {
         axis.values.push_back(
-            {b == 0 ? "bus-unlimited" : "bus" + std::to_string(b),
+            {b == 0 ? "bus-unlimited" : numberedLabel("bus", b),
              [b](CoreConfig &cfg) {
                  cfg.resultBuses = b;
              }});

@@ -24,7 +24,7 @@ constexpr Addr kPc = 0x1000;
 bool
 predictTrainRepair(CombinedPredictor &p, Addr pc, bool actual)
 {
-    const std::uint32_t before = p.history();
+    const std::uint64_t before = p.history();
     const bool pred = p.predictAndUpdateHistory(pc);
     p.update(pc, before, actual);
     if (pred != actual)
@@ -121,7 +121,7 @@ TEST(Predictor, HistoryShiftsOnPredict)
     // Train taken so the prediction is 1, then watch it shift in.
     for (int i = 0; i < 8; ++i)
         predictTrainRepair(p, kPc, true);
-    const std::uint32_t before = p.history();
+    const std::uint64_t before = p.history();
     p.predictAndUpdateHistory(kPc);
     EXPECT_EQ(p.history(), ((before << 1) | 1u) &
                                CombinedPredictor::kHistoryMask);
@@ -132,7 +132,7 @@ TEST(Predictor, RepairRestoresPreBranchHistory)
     CombinedPredictor p;
     for (int i = 0; i < 8; ++i)
         predictTrainRepair(p, kPc, true);
-    const std::uint32_t before = p.history();
+    const std::uint64_t before = p.history();
     p.predictAndUpdateHistory(kPc); // speculative: shifts in "taken"
     // Mispredict: actual direction was not-taken.
     p.repairHistory(before, false);
@@ -143,7 +143,7 @@ TEST(Predictor, RepairRestoresPreBranchHistory)
 TEST(Predictor, PredictIsStateless)
 {
     CombinedPredictor p;
-    const std::uint32_t before = p.history();
+    const std::uint64_t before = p.history();
     (void)p.predict(kPc);
     (void)p.predict(kPc);
     EXPECT_EQ(p.history(), before);

@@ -29,6 +29,21 @@ using namespace drsim::exp;
 
 namespace {
 
+/** The legacy bench mains' point name "w<width>-<model>-r<regs>".
+ *  Built by appending: GCC 12 at -O3 flags `"w" + std::to_string(n)`
+ *  with a false -Wrestrict positive. */
+std::string
+legacyName(int width, ExceptionModel model, int regs)
+{
+    std::string name = "w";
+    name += std::to_string(width);
+    name += "-";
+    name += exceptionModelName(model);
+    name += "-r";
+    name += std::to_string(regs);
+    return name;
+}
+
 /** Scoped environment-variable override (nullptr = unset). */
 class EnvGuard
 {
@@ -146,18 +161,15 @@ TEST(ExpGrid, Table1NamesMatchLegacy)
 
 TEST(ExpGrid, Fig6SpecsMatchLegacyLoopExactly)
 {
-    // The loop from the legacy bench/fig6.cc main, verbatim.
+    // The loop from the legacy bench/fig6.cc main (names via
+    // legacyName()).
     std::vector<ExperimentSpec> legacy;
     for (const int width : {4, 8}) {
         for (const int regs : {32, 48, 64, 80, 96, 128, 160, 256}) {
             for (const auto model : {ExceptionModel::Precise,
                                      ExceptionModel::Imprecise}) {
                 CoreConfig cfg = paperConfig(width, regs, model);
-                legacy.push_back(
-                    {"w" + std::to_string(width) + "-" +
-                         exceptionModelName(model) + "-r" +
-                         std::to_string(regs),
-                     cfg});
+                legacy.push_back({legacyName(width, model, regs), cfg});
             }
         }
     }
@@ -171,9 +183,10 @@ TEST(ExpGrid, Fig6SpecsMatchLegacyLoopExactly)
 
 TEST(ExpGrid, Fig7SpecsMatchLegacyLoopExactly)
 {
-    // The loop from the legacy bench/fig7.cc main, verbatim: note the
-    // nesting (model outermost) differs from the name order (width
-    // first) — the expansion must reproduce both.
+    // The loop from the legacy bench/fig7.cc main (names via
+    // legacyName()): note the nesting (model outermost) differs from
+    // the name order (width first) — the expansion must reproduce
+    // both.
     const CacheKind kinds[3] = {CacheKind::Perfect,
                                 CacheKind::LockupFree,
                                 CacheKind::Lockup};
@@ -185,9 +198,7 @@ TEST(ExpGrid, Fig7SpecsMatchLegacyLoopExactly)
                  {32, 48, 64, 80, 96, 128, 160, 256}) {
                 for (const CacheKind kind : kinds) {
                     legacy.push_back(
-                        {"w" + std::to_string(width) + "-" +
-                             exceptionModelName(model) + "-r" +
-                             std::to_string(regs) + "-" +
+                        {legacyName(width, model, regs) + "-" +
                              cacheKindName(kind),
                          paperConfig(width, regs, model, kind)});
                 }
@@ -508,7 +519,8 @@ TEST(ExpByteIdentity, Table1MatchesLegacyConstruction)
 TEST(ExpByteIdentity, Fig7MatchesLegacyConstruction)
 {
     const int scale = 1;
-    // The legacy bench/fig7.cc main's spec construction, verbatim.
+    // The legacy bench/fig7.cc main's spec construction (names via
+    // legacyName()).
     const auto suite = buildSpec92Suite(scale);
     const CacheKind kinds[3] = {CacheKind::Perfect,
                                 CacheKind::LockupFree,
@@ -521,9 +533,7 @@ TEST(ExpByteIdentity, Fig7MatchesLegacyConstruction)
                  {32, 48, 64, 80, 96, 128, 160, 256}) {
                 for (const CacheKind kind : kinds) {
                     specs.push_back(
-                        {"w" + std::to_string(width) + "-" +
-                             exceptionModelName(model) + "-r" +
-                             std::to_string(regs) + "-" +
+                        {legacyName(width, model, regs) + "-" +
                              cacheKindName(kind),
                          paperConfig(width, regs, model, kind)});
                 }

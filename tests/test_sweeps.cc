@@ -184,9 +184,11 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, MachineSweep, ::testing::ValuesIn(sweepGrid()),
     [](const ::testing::TestParamInfo<SweepPoint> &pinfo) {
         const SweepPoint &p = pinfo.param;
-        std::string s = "w" + std::to_string(p.width) + "_dq" +
-                        std::to_string(p.dq) + "_r" +
-                        std::to_string(p.regs) + "_";
+        // Appended piecewise: GCC 12 at -O3 flags `"w" + std::string`
+        // with a false -Wrestrict positive.
+        std::string s = "w";
+        s += std::to_string(p.width) + "_dq" + std::to_string(p.dq) +
+             "_r" + std::to_string(p.regs) + "_";
         s += p.model == ExceptionModel::Precise ? "prec" : "impr";
         s += "_";
         s += p.cache == CacheKind::Perfect
