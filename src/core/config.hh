@@ -150,15 +150,6 @@ struct CoreConfig
      *  every N cycles and panic on mismatch (testing aid). */
     Cycle auditInterval = 0;
 
-    /** Collect per-cycle live-register histograms (small overhead). */
-    bool collectLiveHistograms = true;
-
-    /** Collect per-cycle structure-occupancy histograms (dispatch
-     *  queue, window, store queue; small overhead).  The exclusive
-     *  stall-cause attribution (ProcStats::causeCycles) is always on —
-     *  it is a handful of flag writes per cycle. */
-    bool collectOccupancyHistograms = true;
-
     /// @name Derived per-cycle limits (paper Section 2.1)
     /// @{
     /** Instructions inserted into the dispatch queue per cycle. */

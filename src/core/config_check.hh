@@ -8,7 +8,9 @@
  * Unlike CoreConfig::validate() — which throws on the *first* problem
  * when a Processor is built — these checks collect every finding, so
  * a spec author sees the full list at once.  validate() remains the
- * last-line defense; everything it rejects is also an error here.
+ * last-line defense: everything it rejects about the core is also an
+ * error here, but cache geometry (CacheConfig::validate()) is checked
+ * only when a Processor is built.
  */
 
 #ifndef DRSIM_CORE_CONFIG_CHECK_HH

@@ -1094,13 +1094,11 @@ Processor::sampleStats()
         rename_.freeCount(RegClass::Fp) == 0) {
         ++stats_.noFreeRegCycles;
     }
-    if (config_.collectOccupancyHistograms && !statsGated_) {
-        stats_.dqDepth.addSample(dqOccupancy());
-        stats_.windowDepth.addSample(window_.size());
-        stats_.storeQueueDepth.addSample(storeQueue_.size());
-    }
-    if (!config_.collectLiveHistograms || statsGated_)
+    if (statsGated_)
         return;
+    stats_.dqDepth.addSample(dqOccupancy());
+    stats_.windowDepth.addSample(window_.size());
+    stats_.storeQueueDepth.addSample(storeQueue_.size());
     for (int c = 0; c < kNumRegClasses; ++c) {
         const LiveCounts lc = rename_.liveCounts(RegClass(c));
         const std::uint64_t s1 = lc.inFlight;

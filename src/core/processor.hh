@@ -153,9 +153,8 @@ struct ProcStats
 
     /**
      * End-of-cycle structure-occupancy histograms (one sample per
-     * cycle when CoreConfig::collectOccupancyHistograms is set):
-     * dispatch-queue residents (all queues), in-flight window size,
-     * and store-queue depth.
+     * ungated cycle): dispatch-queue residents (all queues), in-flight
+     * window size, and store-queue depth.
      */
     Histogram dqDepth;
     Histogram windowDepth;

@@ -982,17 +982,6 @@ runCriticalPaths(const RunContext &)
     return 0;
 }
 
-// ------------------------------------------------------------------ micro
-
-int
-microStub(const RunContext &)
-{
-    std::fprintf(stderr,
-                 "micro is the google-benchmark suite; run it as "
-                 "`drsim bench micro`\n");
-    return 2;
-}
-
 } // namespace
 
 std::vector<ExperimentDef>
@@ -1090,9 +1079,6 @@ makeExperimentDefs()
          "sampled-mode accuracy check: 95% CI vs full-detail IPC "
          "on every workload",
          nullptr, nullptr, nullptr, false, runSamplingValidate},
-        {"micro", "",
-         "google-benchmark microbenchmarks of simulator components",
-         nullptr, nullptr, nullptr, false, microStub},
     };
 }
 

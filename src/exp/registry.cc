@@ -88,12 +88,10 @@ parseSamplingSpec(const std::string &text)
     return sc;
 }
 
-namespace {
-
-std::vector<ExperimentDef> &
-mutableRegistry()
+const std::vector<ExperimentDef> &
+experimentRegistry()
 {
-    static std::vector<ExperimentDef> defs = [] {
+    static const std::vector<ExperimentDef> defs = [] {
         std::vector<ExperimentDef> table = detail::makeExperimentDefs();
         for (ExperimentDef &def : table) {
             if (def.suite)
@@ -104,14 +102,6 @@ mutableRegistry()
     return defs;
 }
 
-} // namespace
-
-const std::vector<ExperimentDef> &
-experimentRegistry()
-{
-    return mutableRegistry();
-}
-
 const ExperimentDef *
 findExperiment(const std::string &name)
 {
@@ -120,24 +110,6 @@ findExperiment(const std::string &name)
             return &def;
     }
     return nullptr;
-}
-
-void
-setExternalRunner(const std::string &name,
-                  int (*run)(const RunContext &ctx))
-{
-    for (ExperimentDef &def : mutableRegistry()) {
-        if (name == def.name) {
-            if (!def.run) {
-                fatal("experiment '", name,
-                      "' is grid-driven; it cannot take an external "
-                      "runner");
-            }
-            def.run = run;
-            return;
-        }
-    }
-    fatal("unknown experiment '", name, "'");
 }
 
 std::vector<ExperimentSpec>

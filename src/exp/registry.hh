@@ -20,10 +20,10 @@
  *    experiment; only the point computation varies.
  *
  *  - *Custom* experiments (simspeed's wall-clock timing loops,
- *    ext_critical_paths' pure timing-model printout, micro's
- *    google-benchmark suite): run() is an opaque harness body.  They
- *    still register, list, and run by name; they just have no grid to
- *    expand, so --dry-run, --filter and --server do not apply to them.
+ *    ext_critical_paths' pure timing-model printout): run() is an
+ *    opaque harness body.  They still register, list, and run by
+ *    name; they just have no grid to expand, so --dry-run, --filter
+ *    and --server do not apply to them.
  */
 
 #ifndef DRSIM_EXP_REGISTRY_HH
@@ -123,14 +123,6 @@ const std::vector<ExperimentDef> &experimentRegistry();
 
 /** Lookup by name; nullptr when unknown. */
 const ExperimentDef *findExperiment(const std::string &name);
-
-/**
- * Replace a custom experiment's run() hook.  Used by `drsim bench` to
- * attach the google-benchmark micro suite, which lives outside this
- * library so the library does not link google-benchmark.
- */
-void setExternalRunner(const std::string &name,
-                       int (*run)(const RunContext &ctx));
 
 /** Grid expansion with ctx's run options applied (commit cap,
  *  sampling, predictor and result-bus overrides) and every point

@@ -72,10 +72,6 @@ pointKeyText(const PointKey &key, const std::string &rev)
        << "max_committed=" << c.maxCommitted << "\n"
        << "deadlock_cycles=" << c.deadlockCycles << "\n"
        << "audit_interval=" << c.auditInterval << "\n"
-       << "collect_live_histograms=" << int(c.collectLiveHistograms)
-       << "\n"
-       << "collect_occupancy_histograms="
-       << int(c.collectOccupancyHistograms) << "\n"
        << "sampling_interval=" << c.sampling.interval << "\n"
        << "sampling_window=" << c.sampling.window << "\n"
        << "sampling_warmup=" << c.sampling.warmup << "\n";

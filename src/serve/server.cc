@@ -175,8 +175,8 @@ Server::serve()
         Connection conn;
         conn.fd = fd;
         conn.done = std::make_shared<std::atomic<bool>>(false);
-        conn.thread = std::thread([this, fd, connId] {
-            connectionLoop(fd, connId);
+        conn.thread = std::thread([this, fd, connId, done = conn.done] {
+            connectionLoop(fd, connId, *done);
         });
         connections_.push_back(std::move(conn));
         reapFinished();
@@ -229,18 +229,10 @@ Server::reapFinished()
 }
 
 void
-Server::connectionLoop(int fd, std::uint64_t connId)
+Server::connectionLoop(int fd, std::uint64_t connId,
+                       std::atomic<bool> &done)
 {
     logLine(connId, "connected");
-    std::shared_ptr<std::atomic<bool>> done;
-    {
-        std::lock_guard<std::mutex> lock(connMutex_);
-        for (Connection &conn : connections_) {
-            if (conn.fd == fd)
-                done = conn.done;
-        }
-    }
-
     std::string buffer;
     char chunk[65536];
     bool open = true;
@@ -283,8 +275,7 @@ Server::connectionLoop(int fd, std::uint64_t connId)
     }
     ::close(fd);
     logLine(connId, orderly ? "disconnected" : "closed after error");
-    if (done)
-        done->store(true);
+    done.store(true);
 }
 
 void
@@ -446,8 +437,7 @@ Server::handleRun(int fd, std::uint64_t connId,
         if (key != "verb" && key != "id" && key != "experiment" &&
             key != "spec" && key != "scale" &&
             key != "max_committed" && key != "sampling" &&
-            key != "predictor" && key != "result_buses" &&
-            key != "document") {
+            key != "predictor" && key != "result_buses") {
             sendError(fd, id, "bad-request",
                       "unknown request key '" + key + "'");
             return;
@@ -533,10 +523,6 @@ Server::handleRun(int fd, std::uint64_t connId,
         }
         ctx.resultBuses = int(buses);
     }
-    bool document = false;
-    if (const json::Value *v = req.find("document"))
-        document = v->asBool();
-
     const json::Value *expName = req.find("experiment");
     const json::Value *specDoc = req.find("spec");
     if ((expName == nullptr) == (specDoc == nullptr)) {
@@ -641,11 +627,6 @@ Server::handleRun(int fd, std::uint64_t connId,
         }
     }
 
-    // Collected even when no document was requested: a point record
-    // is small and this keeps the drain loop branch-free.
-    std::vector<std::vector<SimResult>> grid(numSpecs);
-    for (auto &row : grid)
-        row.resize(numWl);
     std::uint64_t cacheHits = 0, computed = 0, coalesced = 0;
     std::string firstError;
     bool writable = true;
@@ -664,7 +645,6 @@ Server::handleRun(int fd, std::uint64_t connId,
                 firstError = outcome.error;
             continue;
         }
-        grid[si][wi] = outcome.result;
         if (outcome.cacheHit)
             ++cacheHits;
         else if (!outcome.coalesced)
@@ -689,20 +669,6 @@ Server::handleRun(int fd, std::uint64_t connId,
         logLine(connId, "run " + def.name + " failed: " + firstError);
         sendError(fd, id, "sim-failed", firstError);
         return;
-    }
-
-    if (document && writable) {
-        std::vector<ExperimentResult> results;
-        results.reserve(numSpecs);
-        for (std::size_t si = 0; si < numSpecs; ++si) {
-            results.push_back(ExperimentResult{
-                specs[si], SuiteResult(std::move(grid[si]))});
-        }
-        const RunInfo info{def.name, ctx.scale, ctx.maxCommitted};
-        json::Writer w = openReply("document", id);
-        w.key("name").value(def.name);
-        w.key("json").value(resultsJson(info, results));
-        writable = sendLine(fd, w.endObject().str());
     }
 
     if (writable) {

@@ -93,7 +93,8 @@ class Server
         std::shared_ptr<std::atomic<bool>> done;
     };
 
-    void connectionLoop(int fd, std::uint64_t connId);
+    void connectionLoop(int fd, std::uint64_t connId,
+                        std::atomic<bool> &done);
     void handleLine(int fd, std::uint64_t connId,
                     const std::string &line);
     void handleRun(int fd, std::uint64_t connId,

@@ -88,21 +88,17 @@ checkStaticBounds(const CoreConfig &config, const Program &program,
     }
 
     // Gate 2: dynamic peak live registers cannot undercut static
-    // MaxLive.  Only meaningful when the histograms were collected
-    // and at least one cycle was sampled.
-    if (config.collectLiveHistograms) {
-        for (int c = 0; c < kNumRegClasses; ++c) {
-            const auto &hist = result.proc.live[c][3];
-            if (hist.totalSamples() == 0)
-                continue;
-            if (hist.maxValue() <
-                std::uint64_t(bounds.maxLive[c])) {
-                if (os.tellp() > 0)
-                    os << "; ";
-                os << (c == 0 ? "int" : "fp")
-                   << " peak live registers " << hist.maxValue()
-                   << " below static MaxLive " << bounds.maxLive[c];
-            }
+    // MaxLive.  Only meaningful when at least one cycle was sampled.
+    for (int c = 0; c < kNumRegClasses; ++c) {
+        const auto &hist = result.proc.live[c][3];
+        if (hist.totalSamples() == 0)
+            continue;
+        if (hist.maxValue() < std::uint64_t(bounds.maxLive[c])) {
+            if (os.tellp() > 0)
+                os << "; ";
+            os << (c == 0 ? "int" : "fp") << " peak live registers "
+               << hist.maxValue() << " below static MaxLive "
+               << bounds.maxLive[c];
         }
     }
 

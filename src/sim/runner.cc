@@ -159,8 +159,8 @@ writeWorkload(Writer &w, const SimResult &r)
     }
     w.endObject();
 
-    // Structure-occupancy summaries; present only when the run sampled
-    // them (collectOccupancyHistograms).
+    // Structure-occupancy summaries; present only when the run
+    // sampled at least one cycle.
     if (r.proc.dqDepth.totalSamples() > 0) {
         w.key("occupancy").beginObject();
         writeOccupancy(w, "dispatch_queue", r.proc.dqDepth);

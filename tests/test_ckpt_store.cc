@@ -345,10 +345,6 @@ TEST(CkptStore, WarmKeyCoversExactlyTheFieldsWarmingReads)
          [](CoreConfig &c) { c.deadlockCycles = 1000; }},
         {"auditInterval", false,
          [](CoreConfig &c) { c.auditInterval = 100; }},
-        {"collectLiveHistograms", false,
-         [](CoreConfig &c) { c.collectLiveHistograms = false; }},
-        {"collectOccupancyHistograms", false,
-         [](CoreConfig &c) { c.collectOccupancyHistograms = false; }},
     };
     for (const Field &f : fields) {
         CoreConfig changed = base;
@@ -362,7 +358,7 @@ TEST(CkptStore, WarmKeyCoversExactlyTheFieldsWarmingReads)
     // new field above (and to WarmKey, if warming reads it) would
     // share warm states across configs that warm differently.
     // x86-64 / libstdc++, matching CI.
-    EXPECT_EQ(sizeof(CoreConfig), 216u)
+    EXPECT_EQ(sizeof(CoreConfig), 208u)
         << "CoreConfig changed — audit warmKeyFor() coverage";
     EXPECT_EQ(sizeof(CacheConfig), 48u)
         << "CacheConfig changed — audit warmKeyFor() coverage";

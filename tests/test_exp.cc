@@ -92,7 +92,7 @@ TEST(ExpRegistry, EveryLegacyHarnessIsRegistered)
         "ext_classic", "ext_mshr",      "ext_writebuffer",
         "ext_variance", "ext_bounds",   "ext_predictors",
         "ext_critical_paths",
-        "simspeed",    "sampling_validate", "micro",
+        "simspeed",    "sampling_validate",
     };
     for (const char *name : expected)
         EXPECT_NE(findExperiment(name), nullptr) << name;
@@ -117,7 +117,7 @@ TEST(ExpRegistry, UnknownNameIsNull)
 TEST(ExpRegistry, CustomExperimentsHaveNoGrid)
 {
     for (const char *name :
-         {"ext_critical_paths", "simspeed", "micro"}) {
+         {"ext_critical_paths", "simspeed", "sampling_validate"}) {
         const ExperimentDef *def = findExperiment(name);
         ASSERT_NE(def, nullptr);
         EXPECT_NE(def->run, nullptr) << name;

@@ -64,25 +64,6 @@ TEST(Disassemble, ControlFlowFormats)
     EXPECT_EQ(disassemble(fsqrt), "fsqrt f1, f2");
 }
 
-TEST(StatsToggle, HistogramsCanBeDisabled)
-{
-    ProgramBuilder b("nohist");
-    for (int i = 0; i < 50; ++i)
-        b.addi(intReg(1 + (i % 20)), intReg(25), i);
-    b.halt();
-    CoreConfig cfg;
-    cfg.issueWidth = 4;
-    cfg.dqSize = 32;
-    cfg.numPhysRegs = 128;
-    cfg.collectLiveHistograms = false;
-    Processor proc(cfg, b.build());
-    proc.run();
-    EXPECT_EQ(proc.stats().committed, 51u);
-    EXPECT_EQ(proc.stats().live[0][3].totalSamples(), 0u);
-    // The no-free-register stat still works without histograms.
-    EXPECT_EQ(proc.stats().noFreeRegCycles, 0u);
-}
-
 TEST(SuiteAggregation, FpDensityWithoutFpBenchmarksIsFatal)
 {
     ProgramBuilder b("int-only");

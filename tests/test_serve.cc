@@ -335,7 +335,7 @@ TEST(PointCache, KeyCoversEveryResultAffectingInput)
     // would silently serve stale cache entries for the new knob.  If
     // this fails, add the field to the key text (or document why it
     // cannot affect results) and then update the expected size.  x86-64 / libstdc++, matching CI.
-    EXPECT_EQ(sizeof(CoreConfig), 216u)
+    EXPECT_EQ(sizeof(CoreConfig), 208u)
         << "CoreConfig changed — audit pointKeyText() key coverage";
 }
 
@@ -631,7 +631,8 @@ TEST(Protocol, EndToEndOverLoopback)
         client.sendLine("{\"verb\":\"run\",\"experiment\":\"nope\"}");
         EXPECT_EQ(client.readReply().at("code").asString(),
                   "unknown-experiment");
-        client.sendLine("{\"verb\":\"run\",\"experiment\":\"micro\"}");
+        client.sendLine(
+            "{\"verb\":\"run\",\"experiment\":\"simspeed\"}");
         EXPECT_EQ(client.readReply().at("code").asString(),
                   "custom-experiment");
         client.sendLine("{\"verb\":\"frobnicate\"}");
@@ -642,20 +643,49 @@ TEST(Protocol, EndToEndOverLoopback)
         EXPECT_EQ(client.readReply().at("code").asString(),
                   "bad-request");
 
-        // A one-spec sweep over the full suite, with the document.
+        // The daemon serves point records only; a request asking for
+        // a whole results document names an unknown key.
         const std::string run =
             "{\"verb\":\"run\",\"id\":\"r1\",\"spec\":"
             "{\"name\":\"tiny\",\"axes\":{\"width\":[4],"
-            "\"regs\":[64]}},\"scale\":1,\"max_committed\":2000,"
-            "\"document\":true}";
-        client.sendLine(run);
+            "\"regs\":[64]}},\"scale\":1,\"max_committed\":2000";
+        client.sendLine(run + ",\"document\":true}");
+        reply = client.readReply();
+        EXPECT_EQ(reply.at("reply").asString(), "error");
+        EXPECT_EQ(reply.at("code").asString(), "bad-request");
+
+        // A one-spec sweep over the full suite.
+        client.sendLine(run + "}");
         reply = client.readReply();
         ASSERT_EQ(reply.at("reply").asString(), "ack");
+        const std::vector<Workload> suite = buildSpec92Suite(1);
         const std::uint64_t points = reply.at("points").asU64();
-        EXPECT_EQ(points, buildSpec92Suite(1).size());
+        EXPECT_EQ(points, suite.size());
+
+        // The point records, in suite order, make the direct
+        // runner's results document byte for byte.
+        SweepSpec spec;
+        spec.name = "tiny";
+        spec.axes.push_back({"width", {4}, {}});
+        spec.axes.push_back({"regs", {64}, {}});
+        std::vector<ExperimentSpec> specs = expandGrid(toGrid(spec));
+        for (ExperimentSpec &s : specs)
+            s.config.maxCommitted = 2000;
+        const RunInfo info{"tiny", 1, 2000};
+        const std::string direct =
+            resultsJson(info, runExperiments(specs, suite, 4));
+        const auto servedJson =
+            [&](const std::map<std::string, SimResult> &records) {
+                std::vector<SimResult> row;
+                for (const Workload &w : suite)
+                    row.push_back(records.at(w.spec->name));
+                return resultsJson(
+                    info, {ExperimentResult{specs.front(),
+                                            SuiteResult(std::move(row))}});
+            };
 
         std::uint64_t got = 0, coldHits = 0;
-        std::string document;
+        std::map<std::string, SimResult> records;
         for (;;) {
             reply = client.readReply();
             const std::string &kind = reply.at("reply").asString();
@@ -666,12 +696,10 @@ TEST(Protocol, EndToEndOverLoopback)
                 EXPECT_EQ(reply.at("computed_at_rev").asString(),
                           pointCacheRev());
                 // Each record must parse back losslessly.
-                const SimResult r =
-                    parsePointRecord(reply.at("result"));
+                SimResult r = parsePointRecord(reply.at("result"));
                 EXPECT_EQ(r.workload,
                           reply.at("workload").asString());
-            } else if (kind == "document") {
-                document = reply.at("json").asString();
+                records.emplace(r.workload, std::move(r));
             } else {
                 ASSERT_EQ(kind, "done");
                 break;
@@ -681,40 +709,32 @@ TEST(Protocol, EndToEndOverLoopback)
         EXPECT_EQ(coldHits, 0u);
         EXPECT_EQ(reply.at("cache_hits").asU64(), 0u);
         EXPECT_EQ(reply.at("computed").asU64(), points);
-
-        // The served document is the direct runner's, byte for byte.
-        SweepSpec spec;
-        spec.name = "tiny";
-        spec.axes.push_back({"width", {4}, {}});
-        spec.axes.push_back({"regs", {64}, {}});
-        std::vector<ExperimentSpec> specs = expandGrid(toGrid(spec));
-        for (ExperimentSpec &s : specs)
-            s.config.maxCommitted = 2000;
-        const std::vector<ExperimentResult> results =
-            runExperiments(specs, buildSpec92Suite(1), 4);
-        EXPECT_EQ(document,
-                  resultsJson(RunInfo{"tiny", 1, 2000}, results));
+        ASSERT_EQ(records.size(), points);
+        EXPECT_EQ(servedJson(records), direct);
 
         // Rerun: every point served from cache, same records.
-        client.sendLine(run);
+        client.sendLine(run + "}");
         ASSERT_EQ(client.readReply().at("reply").asString(), "ack");
         std::uint64_t warmHits = 0;
+        records.clear();
         for (;;) {
             reply = client.readReply();
             const std::string &kind = reply.at("reply").asString();
             if (kind == "point") {
                 if (reply.at("cache_hit").asBool())
                     ++warmHits;
-            } else if (kind == "done") {
+                SimResult r = parsePointRecord(reply.at("result"));
+                records.emplace(r.workload, std::move(r));
+            } else {
+                ASSERT_EQ(kind, "done");
                 EXPECT_EQ(reply.at("cache_hits").asU64(), points);
                 EXPECT_EQ(reply.at("computed").asU64(), 0u);
                 break;
-            } else {
-                ASSERT_EQ(kind, "document");
-                EXPECT_EQ(reply.at("json").asString(), document);
             }
         }
         EXPECT_EQ(warmHits, points);
+        ASSERT_EQ(records.size(), points);
+        EXPECT_EQ(servedJson(records), direct);
 
         // Stats reflect all of the above.
         client.sendLine("{\"verb\":\"stats\"}");

@@ -286,19 +286,6 @@ TEST(StallAttribution, OccupancyHistogramsSampleEveryCycle)
     EXPECT_GT(r.proc.windowDepth.maxValue(), 0u);
 }
 
-TEST(StallAttribution, OccupancyCollectionCanBeDisabled)
-{
-    const auto suite = buildSpec92Suite(1);
-    CoreConfig cfg = baseConfig();
-    cfg.collectOccupancyHistograms = false;
-    const SimResult r = simulate(cfg, suite.front());
-    EXPECT_EQ(r.proc.dqDepth.totalSamples(), 0u);
-    EXPECT_EQ(r.proc.windowDepth.totalSamples(), 0u);
-    EXPECT_EQ(r.proc.storeQueueDepth.totalSamples(), 0u);
-    // Attribution is always on and still exhaustive.
-    expectExhaustive(r.proc, "occupancy-off");
-}
-
 /** The exclusive buckets never disagree with the per-event legacy
  *  counters in direction: a run with zero legacy write-buffer stalls
  *  cannot attribute cycles to write_buffer_full, and vice versa. */

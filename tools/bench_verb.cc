@@ -20,9 +20,7 @@
  * Flags override the corresponding DRSIM_* environment variables
  * (DRSIM_SCALE, DRSIM_MAX_COMMITTED, DRSIM_JOBS, DRSIM_RESULTS_DIR,
  * DRSIM_SAMPLE, DRSIM_PREDICTOR, DRSIM_RESULT_BUSES), which all keep
- * working, so existing CI recipes behave identically.  `drsim bench
- * micro` runs the google-benchmark suite, which reads its own flags
- * from the environment (BENCHMARK_FILTER, BENCHMARK_MIN_TIME, ...).
+ * working, so existing CI recipes behave identically.
  */
 
 #include <algorithm>
@@ -32,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/micro_benchmarks.hh"
 #include "bpred/predictor.hh"
 #include "common/logging.hh"
 #include "exp/registry.hh"
@@ -112,10 +109,6 @@ dryRun(const ExperimentDef &def, const RunContext &ctx,
 int
 drsim::tools::benchVerb(int argc, const char *const *argv)
 {
-    // The micro suite links google-benchmark, so it attaches here
-    // rather than in the registry library.
-    setExternalRunner("micro", bench::runMicroBenchmarks);
-
     // DRSIM_SAMPLE is the --sample default: a malformed one is a
     // usage error too.
     RunContext ctx;
