@@ -13,20 +13,13 @@ BimodalPredictor::BimodalPredictor()
 bool
 BimodalPredictor::predict(Addr pc) const
 {
-    return table_[pcIndex(pc)] >= 2;
+    return bpred::counterTaken<3>(table_[pcIndex(pc)]);
 }
 
 void
 BimodalPredictor::update(Addr pc, std::uint64_t, bool taken)
 {
-    std::uint8_t &c = table_[pcIndex(pc)];
-    if (taken) {
-        if (c < 3)
-            ++c;
-    } else {
-        if (c > 0)
-            --c;
-    }
+    bpred::bump<3>(table_[pcIndex(pc)], taken);
 }
 
 std::vector<std::uint8_t>

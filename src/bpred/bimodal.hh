@@ -34,19 +34,13 @@ class BimodalPredictor final : public BranchPredictor
 
     std::uint64_t history() const override { return 0; }
 
-    bool
-    predictAndUpdateHistory(Addr pc) override
-    {
-        return predict(pc);
-    }
-
     bool predict(Addr pc) const override;
 
     void update(Addr pc, std::uint64_t history_used,
                 bool taken) override;
 
-    void repairHistory(std::uint64_t, bool) override {}
     void shiftHistory(bool) override {}
+    void setHistory(std::uint64_t) override {}
 
     std::vector<std::uint8_t> saveState() const override;
     void restoreState(const std::vector<std::uint8_t> &bytes) override;

@@ -13,39 +13,15 @@ GsharePredictor::GsharePredictor()
 bool
 GsharePredictor::predict(Addr pc) const
 {
-    return counterTaken(table_[index(pc, history_)]);
-}
-
-bool
-GsharePredictor::predictAndUpdateHistory(Addr pc)
-{
-    const bool taken = predict(pc);
-    history_ = ((history_ << 1) | std::uint32_t(taken)) & kHistoryMask;
-    return taken;
+    return bpred::counterTaken<3>(table_[index(pc, history_)]);
 }
 
 void
 GsharePredictor::update(Addr pc, std::uint64_t history_used,
                         bool taken)
 {
-    std::uint8_t &c = table_[index(
-        pc, std::uint32_t(history_used) & kHistoryMask)];
-    if (taken) {
-        if (c < 3)
-            ++c;
-    } else {
-        if (c > 0)
-            --c;
-    }
-}
-
-void
-GsharePredictor::repairHistory(std::uint64_t history_before,
-                               bool taken)
-{
-    history_ = ((std::uint32_t(history_before) << 1) |
-                std::uint32_t(taken)) &
-               kHistoryMask;
+    const std::uint32_t h = std::uint32_t(history_used) & kHistoryMask;
+    bpred::bump<3>(table_[index(pc, h)], taken);
 }
 
 std::vector<std::uint8_t>
@@ -66,8 +42,7 @@ GsharePredictor::restoreState(const std::vector<std::uint8_t> &bytes)
     }
     std::copy(bytes.begin(), bytes.begin() + kTableSize,
               table_.begin());
-    history_ = std::uint32_t(bpred::getU64(bytes, kTableSize)) &
-               kHistoryMask;
+    setHistory(bpred::getU64(bytes, kTableSize));
 }
 
 } // namespace drsim

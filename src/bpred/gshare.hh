@@ -36,21 +36,22 @@ class GsharePredictor final : public BranchPredictor
 
     std::uint64_t history() const override { return history_; }
 
-    bool predictAndUpdateHistory(Addr pc) override;
-
     bool predict(Addr pc) const override;
 
     void update(Addr pc, std::uint64_t history_used,
                 bool taken) override;
-
-    void repairHistory(std::uint64_t history_before,
-                       bool taken) override;
 
     void
     shiftHistory(bool taken) override
     {
         history_ = ((history_ << 1) | std::uint32_t(taken)) &
                    kHistoryMask;
+    }
+
+    void
+    setHistory(std::uint64_t token) override
+    {
+        history_ = std::uint32_t(token) & kHistoryMask;
     }
 
     std::vector<std::uint8_t> saveState() const override;
@@ -62,8 +63,6 @@ class GsharePredictor final : public BranchPredictor
     {
         return (std::uint32_t(pc >> 2) ^ history) & (kTableSize - 1);
     }
-
-    static bool counterTaken(std::uint8_t c) { return c >= 2; }
 
     std::array<std::uint8_t, kTableSize> table_;
     std::uint32_t history_ = 0;

@@ -15,18 +15,11 @@ bool
 CombinedPredictor::predict(Addr pc) const
 {
     const PcEntry &e = pcTable_[pcIndex(pc)];
-    const bool bi = counterTaken(e.bimodal);
-    const bool gl = counterTaken(global_[gshareIndex(pc, history_)]);
-    const bool use_global = counterTaken(e.selector);
+    const bool bi = bpred::counterTaken<3>(e.bimodal);
+    const bool gl =
+        bpred::counterTaken<3>(global_[gshareIndex(pc, history_)]);
+    const bool use_global = bpred::counterTaken<3>(e.selector);
     return use_global ? gl : bi;
-}
-
-bool
-CombinedPredictor::predictAndUpdateHistory(Addr pc)
-{
-    const bool taken = predict(pc);
-    history_ = ((history_ << 1) | std::uint32_t(taken)) & kHistoryMask;
-    return taken;
 }
 
 void
@@ -36,22 +29,13 @@ CombinedPredictor::update(Addr pc, std::uint64_t history_used,
     PcEntry &e = pcTable_[pcIndex(pc)];
     std::uint8_t &gl = global_[gshareIndex(
         pc, std::uint32_t(history_used) & kHistoryMask)];
-    const bool bi_correct = counterTaken(e.bimodal) == taken;
-    const bool gl_correct = counterTaken(gl) == taken;
+    const bool bi_correct = bpred::counterTaken<3>(e.bimodal) == taken;
+    const bool gl_correct = bpred::counterTaken<3>(gl) == taken;
     // The selector trains toward whichever component was right.
     if (bi_correct != gl_correct)
-        bump(e.selector, gl_correct);
-    bump(e.bimodal, taken);
-    bump(gl, taken);
-}
-
-void
-CombinedPredictor::repairHistory(std::uint64_t history_before,
-                                 bool taken)
-{
-    history_ = ((std::uint32_t(history_before) << 1) |
-                std::uint32_t(taken)) &
-               kHistoryMask;
+        bpred::bump<3>(e.selector, gl_correct);
+    bpred::bump<3>(e.bimodal, taken);
+    bpred::bump<3>(gl, taken);
 }
 
 std::vector<std::uint8_t>
@@ -84,7 +68,7 @@ CombinedPredictor::restoreState(const std::vector<std::uint8_t> &bytes)
     }
     for (std::uint8_t &g : global_)
         g = bytes[at++];
-    history_ = std::uint32_t(bpred::getU64(bytes, at)) & kHistoryMask;
+    setHistory(bpred::getU64(bytes, at));
 }
 
 } // namespace drsim

@@ -39,21 +39,22 @@ class CombinedPredictor final : public BranchPredictor
     /** The global-history register value (for checkpoint/repair). */
     std::uint64_t history() const override { return history_; }
 
-    bool predictAndUpdateHistory(Addr pc) override;
-
     bool predict(Addr pc) const override;
 
     void update(Addr pc, std::uint64_t history_used,
                 bool taken) override;
-
-    void repairHistory(std::uint64_t history_before,
-                       bool taken) override;
 
     void
     shiftHistory(bool taken) override
     {
         history_ = ((history_ << 1) | std::uint32_t(taken)) &
                    kHistoryMask;
+    }
+
+    void
+    setHistory(std::uint64_t token) override
+    {
+        history_ = std::uint32_t(token) & kHistoryMask;
     }
 
     std::vector<std::uint8_t> saveState() const override;
@@ -71,19 +72,6 @@ class CombinedPredictor final : public BranchPredictor
     gshareIndex(Addr pc, std::uint32_t history)
     {
         return (std::uint32_t(pc >> 2) ^ history) & (kTableSize - 1);
-    }
-
-    static bool counterTaken(std::uint8_t c) { return c >= 2; }
-    static void
-    bump(std::uint8_t &c, bool taken)
-    {
-        if (taken) {
-            if (c < 3)
-                ++c;
-        } else {
-            if (c > 0)
-                --c;
-        }
     }
 
     /** The bimodal and selector tables are both indexed by pcIndex();

@@ -17,6 +17,9 @@
  *    sampling path's functional warming, which replays the
  *    architectural branch stream as perfectly predicted).
  *
+ * predictAndUpdateHistory() and repairHistory() are written once,
+ * here, over the backend's predict(), shiftHistory() and setHistory().
+ *
  * history() is an *opaque token*: the processor saves it per branch
  * (DynInst::historyBefore) and hands it back to update() and
  * repairHistory() verbatim.  Backends with no global history (bimodal)
@@ -59,7 +62,13 @@ class BranchPredictor
      * speculatively shift the prediction into the history register
      * (call at dispatch-queue insert).
      */
-    virtual bool predictAndUpdateHistory(Addr pc) = 0;
+    bool
+    predictAndUpdateHistory(Addr pc)
+    {
+        const bool taken = predict(pc);
+        shiftHistory(taken);
+        return taken;
+    }
 
     /** Predict without touching any state (inspection/tests, and the
      *  execute-time-history ablation's insert-stage prediction). */
@@ -78,12 +87,19 @@ class BranchPredictor
      * @p history_before (the pre-branch token) with the branch's
      * actual direction shifted in.
      */
-    virtual void repairHistory(std::uint64_t history_before,
-                               bool taken) = 0;
+    void
+    repairHistory(std::uint64_t history_before, bool taken)
+    {
+        setHistory(history_before);
+        shiftHistory(taken);
+    }
 
     /** Shift a resolved direction into the history register (the
      *  execute-time-history ablation and functional warming). */
     virtual void shiftHistory(bool taken) = 0;
+
+    /** Load the history register from a history() @p token. */
+    virtual void setHistory(std::uint64_t token) = 0;
 
     /// @name Checkpointing (sampling warm state, round-trip tests)
     /// @{
@@ -117,6 +133,30 @@ std::unique_ptr<BranchPredictor>
 makeBranchPredictor(const std::string &spec);
 
 namespace bpred {
+
+/// @name Saturating counters, the cells of every backend's tables
+/// @{
+/** A counter saturating at @p Max predicts taken in its upper half. */
+template <std::uint8_t Max>
+constexpr bool
+counterTaken(std::uint8_t c)
+{
+    return c > Max / 2;
+}
+
+/** Step @p c up (taken, useful) or down, saturating at 0 and @p Max. */
+template <std::uint8_t Max>
+constexpr void
+bump(std::uint8_t &c, bool up)
+{
+    if (up) {
+        if (c < Max)
+            ++c;
+    } else if (c > 0) {
+        --c;
+    }
+}
+/// @}
 
 /// @name Byte-image helpers shared by the backends' save/restore
 /// @{

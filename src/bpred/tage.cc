@@ -49,17 +49,9 @@ TagePredictor::predict(Addr pc) const
     for (int b = kNumBanks - 1; b >= 0; --b) {
         const Entry &e = banks_[b][bankIndex(pc, history_, b)];
         if (e.tag == bankTag(pc, history_, b))
-            return ctrTaken(e.ctr);
+            return bpred::counterTaken<7>(e.ctr);
     }
-    return base_[baseIndex(pc)] >= 2;
-}
-
-bool
-TagePredictor::predictAndUpdateHistory(Addr pc)
-{
-    const bool taken = predict(pc);
-    history_ = (history_ << 1) | std::uint64_t(taken);
-    return taken;
+    return bpred::counterTaken<3>(base_[baseIndex(pc)]);
 }
 
 void
@@ -81,34 +73,21 @@ TagePredictor::update(Addr pc, std::uint64_t history_used, bool taken)
             alt = b;
     }
 
-    const bool base_pred = base_[baseIndex(pc)] >= 2;
-    const bool alt_pred =
-        alt >= 0 ? ctrTaken(banks_[alt][idx[alt]].ctr) : base_pred;
-    const bool tage_pred =
-        provider >= 0 ? ctrTaken(banks_[provider][idx[provider]].ctr)
-                      : base_pred;
+    const bool base_pred = bpred::counterTaken<3>(base_[baseIndex(pc)]);
+    const auto ctr_taken = [&](int b) {
+        return bpred::counterTaken<7>(banks_[b][idx[b]].ctr);
+    };
+    const bool alt_pred = alt >= 0 ? ctr_taken(alt) : base_pred;
+    const bool tage_pred = provider >= 0 ? ctr_taken(provider) : base_pred;
 
     if (provider >= 0) {
         Entry &e = banks_[provider][idx[provider]];
         // Usefulness tracks "provider beat the alternate".
-        if (tage_pred != alt_pred) {
-            if (tage_pred == taken) {
-                if (e.u < 3)
-                    ++e.u;
-            } else if (e.u > 0) {
-                --e.u;
-            }
-        }
-        bump3(e.ctr, taken);
+        if (tage_pred != alt_pred)
+            bpred::bump<3>(e.u, tage_pred == taken);
+        bpred::bump<7>(e.ctr, taken);
     } else {
-        std::uint8_t &c = base_[baseIndex(pc)];
-        if (taken) {
-            if (c < 3)
-                ++c;
-        } else {
-            if (c > 0)
-                --c;
-        }
+        bpred::bump<3>(base_[baseIndex(pc)], taken);
     }
 
     // A mispredict allocates one longer-history entry: the lowest

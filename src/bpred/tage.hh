@@ -60,24 +60,18 @@ class TagePredictor final : public BranchPredictor
 
     std::uint64_t history() const override { return history_; }
 
-    bool predictAndUpdateHistory(Addr pc) override;
-
     bool predict(Addr pc) const override;
 
     void update(Addr pc, std::uint64_t history_used,
                 bool taken) override;
 
     void
-    repairHistory(std::uint64_t history_before, bool taken) override
-    {
-        history_ = (history_before << 1) | std::uint64_t(taken);
-    }
-
-    void
     shiftHistory(bool taken) override
     {
         history_ = (history_ << 1) | std::uint64_t(taken);
     }
+
+    void setHistory(std::uint64_t token) override { history_ = token; }
 
     std::vector<std::uint8_t> saveState() const override;
     void restoreState(const std::vector<std::uint8_t> &bytes) override;
@@ -97,19 +91,6 @@ class TagePredictor final : public BranchPredictor
                                    int bank);
     static std::uint16_t bankTag(Addr pc, std::uint64_t history,
                                  int bank);
-
-    static bool ctrTaken(std::uint8_t c) { return c >= 4; }
-    static void
-    bump3(std::uint8_t &c, bool taken)
-    {
-        if (taken) {
-            if (c < 7)
-                ++c;
-        } else {
-            if (c > 0)
-                --c;
-        }
-    }
 
     std::uint32_t
     baseIndex(Addr pc) const

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/types.hh"
@@ -26,6 +27,9 @@ enum class ExceptionModel : std::uint8_t {
 };
 
 const char *exceptionModelName(ExceptionModel model);
+/** The model exceptionModelName() names @p name, or nullopt. */
+std::optional<ExceptionModel>
+exceptionModelFromName(const std::string &name);
 
 /**
  * SMARTS-style interval sampling (see DESIGN.md §5h).  All lengths

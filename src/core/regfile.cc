@@ -1,15 +1,35 @@
 #include "core/regfile.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.hh"
 
 namespace drsim {
 
+namespace {
+
+/** Indexed by ExceptionModel. */
+const char *const kExceptionModelNames[] = {"precise", "imprecise"};
+
+} // namespace
+
 const char *
 exceptionModelName(ExceptionModel model)
 {
-    return model == ExceptionModel::Precise ? "precise" : "imprecise";
+    const auto i = std::size_t(model);
+    return i < std::size(kExceptionModelNames) ? kExceptionModelNames[i]
+                                               : "?";
+}
+
+std::optional<ExceptionModel>
+exceptionModelFromName(const std::string &name)
+{
+    for (std::size_t i = 0; i < std::size(kExceptionModelNames); ++i) {
+        if (name == kExceptionModelNames[i])
+            return ExceptionModel(i);
+    }
+    return std::nullopt;
 }
 
 void

@@ -33,30 +33,6 @@ isNumberAxis(const std::string &key)
                      key) != std::end(kNumberAxes);
 }
 
-ExceptionModel
-modelFromName(const std::string &name)
-{
-    if (name == "precise")
-        return ExceptionModel::Precise;
-    if (name == "imprecise")
-        return ExceptionModel::Imprecise;
-    fatal("sweep spec: unknown exception model '", name,
-          "' (want \"precise\" or \"imprecise\")");
-}
-
-CacheKind
-cacheFromName(const std::string &name)
-{
-    if (name == "perfect")
-        return CacheKind::Perfect;
-    if (name == "lockup-free")
-        return CacheKind::LockupFree;
-    if (name == "lockup")
-        return CacheKind::Lockup;
-    fatal("sweep spec: unknown cache kind '", name,
-          "' (want \"perfect\", \"lockup-free\", or \"lockup\")");
-}
-
 /** @p decl's values narrowed to @p T, each range-checked first: a
  *  value that does not fit must not wrap into some other, valid-looking
  *  setting. */
@@ -173,13 +149,26 @@ toGrid(const SweepSpec &spec)
             grid.axes.push_back(regsAxis(narrow<int>(decl)));
         } else if (decl.key == "model") {
             std::vector<ExceptionModel> models;
-            for (const std::string &s : decl.strs)
-                models.push_back(modelFromName(s));
+            for (const std::string &s : decl.strs) {
+                const auto m = exceptionModelFromName(s);
+                if (!m) {
+                    fatal("sweep spec: unknown exception model '", s,
+                          "' (want \"precise\" or \"imprecise\")");
+                }
+                models.push_back(*m);
+            }
             grid.axes.push_back(modelAxis(models));
         } else if (decl.key == "cache") {
             std::vector<CacheKind> kinds;
-            for (const std::string &s : decl.strs)
-                kinds.push_back(cacheFromName(s));
+            for (const std::string &s : decl.strs) {
+                const auto k = cacheKindFromName(s);
+                if (!k) {
+                    fatal("sweep spec: unknown cache kind '", s,
+                          "' (want \"perfect\", \"lockup-free\", or "
+                          "\"lockup\")");
+                }
+                kinds.push_back(*k);
+            }
             grid.axes.push_back(cacheAxis(kinds));
         } else if (decl.key == "mshrs") {
             grid.axes.push_back(mshrAxis(narrow<std::uint32_t>(decl)));

@@ -1,23 +1,35 @@
 #include "memory/cache.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.hh"
 
 namespace drsim {
 
+namespace {
+
+/** Indexed by CacheKind. */
+const char *const kCacheKindNames[] = {"perfect", "lockup",
+                                       "lockup-free"};
+
+} // namespace
+
 const char *
 cacheKindName(CacheKind kind)
 {
-    switch (kind) {
-      case CacheKind::Perfect:
-        return "perfect";
-      case CacheKind::Lockup:
-        return "lockup";
-      case CacheKind::LockupFree:
-        return "lockup-free";
+    const auto i = std::size_t(kind);
+    return i < std::size(kCacheKindNames) ? kCacheKindNames[i] : "?";
+}
+
+std::optional<CacheKind>
+cacheKindFromName(const std::string &name)
+{
+    for (std::size_t i = 0; i < std::size(kCacheKindNames); ++i) {
+        if (name == kCacheKindNames[i])
+            return CacheKind(i);
     }
-    return "?";
+    return std::nullopt;
 }
 
 void
@@ -34,54 +46,126 @@ CacheConfig::validate() const
         fatal("cache set count must be a power of two");
 }
 
-DataCache::DataCache(CacheKind kind, const CacheConfig &config)
-    : kind_(kind), config_(config)
+void
+DCacheStats::merge(const DCacheStats &other)
 {
-    config_.validate();
-    numSets_ = config_.sizeBytes / (config_.lineBytes * config_.assoc);
-    lines_.resize(std::size_t(numSets_) * config_.assoc);
+    loads += other.loads;
+    loadMisses += other.loadMisses;
+    loadMerges += other.loadMerges;
+    storesBuffered += other.storesBuffered;
+    storeHits += other.storeHits;
+    fetchesCancelled += other.fetchesCancelled;
+    mshrRejections += other.mshrRejections;
 }
 
+template <typename Line>
+TagArray<Line>::TagArray(const CacheConfig &config)
+    : lineBytes_(config.lineBytes), assoc_(config.assoc)
+{
+    config.validate();
+    numSets_ = config.sizeBytes / (lineBytes_ * assoc_);
+    lines_.resize(std::size_t(numSets_) * assoc_);
+}
+
+template <typename Line>
 std::uint32_t
-DataCache::setOf(Addr addr) const
+TagArray<Line>::setOf(Addr addr) const
 {
-    return std::uint32_t(addr / config_.lineBytes) & (numSets_ - 1);
+    return std::uint32_t(addr / lineBytes_) & (numSets_ - 1);
 }
 
+template <typename Line>
 Addr
-DataCache::tagOf(Addr addr) const
+TagArray<Line>::tagOf(Addr addr) const
 {
-    return addr / config_.lineBytes / numSets_;
+    return addr / lineBytes_ / numSets_;
 }
 
-DataCache::Line *
-DataCache::findLine(Addr addr)
+template <typename Line>
+Line *
+TagArray<Line>::find(Addr addr)
 {
-    const std::uint32_t set = setOf(addr);
     const Addr tag = tagOf(addr);
-    Line *base = &lines_[std::size_t(set) * config_.assoc];
-    for (std::uint32_t w = 0; w < config_.assoc; ++w)
+    Line *base = &at(setOf(addr), 0);
+    for (std::uint32_t w = 0; w < assoc_; ++w)
         if (base[w].valid && base[w].tag == tag)
             return &base[w];
     return nullptr;
 }
 
+template <typename Line>
 std::uint32_t
-DataCache::victimWay(std::uint32_t set) const
+TagArray<Line>::victim(std::uint32_t set) const
 {
-    const Line *base = &lines_[std::size_t(set) * config_.assoc];
-    std::uint32_t victim = config_.assoc; // "none eligible"
-    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-        if (base[w].fetchId >= 0)
-            continue; // never evict a line that is mid-fill
+    const Line *base = &lines_[std::size_t(set) * assoc_];
+    std::uint32_t lru = assoc_; // "none eligible"
+    for (std::uint32_t w = 0; w < assoc_; ++w) {
+        if (base[w].busy())
+            continue;
         if (!base[w].valid)
             return w;
-        if (victim == config_.assoc ||
-            base[w].lastUsed < base[victim].lastUsed) {
-            victim = w;
-        }
+        if (lru == assoc_ || base[w].lastUsed < base[lru].lastUsed)
+            lru = w;
     }
-    return victim;
+    return lru;
+}
+
+template <typename Line>
+bool
+TagArray<Line>::touch(Addr addr, Cycle stamp)
+{
+    if (Line *line = find(addr)) {
+        line->lastUsed = stamp;
+        return true;
+    }
+    const std::uint32_t set = setOf(addr);
+    const std::uint32_t way = victim(set);
+    if (way == assoc_)
+        return false;
+    Line &line = at(set, way);
+    line = Line{};
+    line.valid = true;
+    line.tag = tagOf(addr);
+    line.lastUsed = stamp;
+    return false;
+}
+
+template <typename Line>
+CacheWarmState
+TagArray<Line>::warmState() const
+{
+    CacheWarmState out;
+    for (std::size_t i = 0; i < lines_.size(); ++i) {
+        if (!lines_[i].valid)
+            continue;
+        const std::size_t base = i - i % assoc_;
+        std::uint32_t rank = 0;
+        for (std::size_t w = base; w < base + assoc_; ++w)
+            rank += lines_[w].valid &&
+                    lines_[w].lastUsed < lines_[i].lastUsed;
+        out.push_back({std::uint32_t(i), rank, lines_[i].tag});
+    }
+    return out;
+}
+
+template <typename Line>
+void
+TagArray<Line>::restoreWarmState(const CacheWarmState &state)
+{
+    for (const WarmLine &w : state) {
+        if (w.index >= lines_.size())
+            DRSIM_PANIC("warm line ", w.index, " outside a ",
+                        lines_.size(), "-line cache");
+        Line &line = lines_[w.index];
+        line.valid = true;
+        line.tag = w.tag;
+        line.lastUsed = w.rank;
+    }
+}
+
+DataCache::DataCache(CacheKind kind, const CacheConfig &config)
+    : kind_(kind), config_(config), tags_(config)
+{
 }
 
 void
@@ -90,9 +174,7 @@ DataCache::pruneFetches(Cycle now)
     for (auto f = fetches_.begin(); f != fetches_.end();) {
         if (f->second.fillAt <= now) {
             if (f->second.way != config_.assoc) {
-                Line &line =
-                    lines_[std::size_t(f->second.set) * config_.assoc +
-                           f->second.way];
+                Line &line = tags_.at(f->second.set, f->second.way);
                 if (line.fetchId == f->second.id)
                     line.fetchId = -1;
             }
@@ -125,7 +207,7 @@ DataCache::load(Addr addr, Cycle now, InstUid uid)
 
     pruneFetches(now);
 
-    if (Line *line = findLine(addr)) {
+    if (Line *line = tags_.find(addr)) {
         line->lastUsed = now;
         if (line->validFrom <= now) {
             res.hit = true;
@@ -166,8 +248,8 @@ DataCache::load(Addr addr, Cycle now, InstUid uid)
 
     ++stats_.loadMisses;
     const Cycle fill_at = now + config_.hitLatency + config_.missPenalty;
-    const std::uint32_t set = setOf(addr);
-    const std::uint32_t way = victimWay(set);
+    const std::uint32_t set = tags_.setOf(addr);
+    const std::uint32_t way = tags_.victim(set);
     Fetch fetch;
     fetch.id = nextFetchId_++;
     fetch.set = set;
@@ -175,9 +257,9 @@ DataCache::load(Addr addr, Cycle now, InstUid uid)
     fetch.fillAt = fill_at;
     fetch.waiters.push_back(uid);
     if (way != config_.assoc) {
-        Line &line = lines_[std::size_t(set) * config_.assoc + way];
+        Line &line = tags_.at(set, way);
         line.valid = true;
-        line.tag = tagOf(addr);
+        line.tag = tags_.tagOf(addr);
         line.validFrom = fill_at;
         line.lastUsed = now;
         line.fetchId = fetch.id;
@@ -231,7 +313,7 @@ DataCache::storeCommit(Addr addr, Cycle now)
     if (kind_ == CacheKind::Perfect)
         return;
     pruneFetches(now);
-    if (Line *line = findLine(addr)) {
+    if (Line *line = tags_.find(addr)) {
         if (line->validFrom <= now) {
             // Write-through hit: update the line (LRU touch only; the
             // data itself lives in the functional emulator).
@@ -263,8 +345,7 @@ DataCache::squashLoad(std::int64_t fetch_id, InstUid uid, Cycle now)
     // the block is not written into the cache (paper Section 2.2).
     ++stats_.fetchesCancelled;
     if (it->second.way != config_.assoc) {
-        Line &line = lines_[std::size_t(it->second.set) * config_.assoc +
-                            it->second.way];
+        Line &line = tags_.at(it->second.set, it->second.way);
         if (line.fetchId == it->second.id) {
             line.valid = false;
             line.fetchId = -1;
@@ -275,107 +356,26 @@ DataCache::squashLoad(std::int64_t fetch_id, InstUid uid, Cycle now)
     fetches_.erase(it);
 }
 
-InstCache::InstCache(const CacheConfig &config) : config_(config)
+InstCache::InstCache(const CacheConfig &config)
+    : config_(config), tags_(config)
 {
-    config_.validate();
-    numSets_ = config_.sizeBytes / (config_.lineBytes * config_.assoc);
-    lines_.resize(std::size_t(numSets_) * config_.assoc);
 }
 
 Cycle
 InstCache::fetch(Addr pc, Cycle now)
 {
     ++accesses_;
-    const std::uint32_t set =
-        std::uint32_t(pc / config_.lineBytes) & (numSets_ - 1);
-    const Addr tag = pc / config_.lineBytes / numSets_;
-    Line *base = &lines_[std::size_t(set) * config_.assoc];
-    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            base[w].lastUsed = now;
-            return now;
-        }
-    }
+    if (tags_.touch(pc, now))
+        return now;
     ++misses_;
-    std::uint32_t victim = 0;
-    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-        if (!base[w].valid) {
-            victim = w;
-            break;
-        }
-        if (base[w].lastUsed < base[victim].lastUsed)
-            victim = w;
-    }
-    base[victim].valid = true;
-    base[victim].tag = tag;
-    base[victim].lastUsed = now;
     return now + config_.missPenalty;
 }
-
-namespace {
-
-/**
- * The valid lines of @p lines (numSets x @p assoc, set-major), each
- * with its recency rank within its set (0 = least recently used):
- * the warmed LRU order, with every stamp below any cycle number a
- * detailed run will produce.  @p Line needs valid/tag/lastUsed.
- */
-template <typename Line>
-CacheWarmState
-saveWarmLines(const std::vector<Line> &lines, std::uint32_t assoc)
-{
-    CacheWarmState out;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        if (!lines[i].valid)
-            continue;
-        const std::size_t base = i - i % assoc;
-        std::uint32_t rank = 0;
-        for (std::size_t w = base; w < base + assoc; ++w)
-            rank += lines[w].valid &&
-                    lines[w].lastUsed < lines[i].lastUsed;
-        out.push_back({std::uint32_t(i), rank, lines[i].tag});
-    }
-    return out;
-}
-
-/** Overlay @p state on the never-touched @p lines. */
-template <typename Line>
-void
-restoreWarmLines(std::vector<Line> &lines, const CacheWarmState &state)
-{
-    for (const WarmLine &w : state) {
-        if (w.index >= lines.size())
-            DRSIM_PANIC("warm line ", w.index, " outside a ",
-                        lines.size(), "-line cache");
-        Line &line = lines[w.index];
-        line.valid = true;
-        line.tag = w.tag;
-        line.lastUsed = w.rank;
-    }
-}
-
-} // namespace
 
 void
 DataCache::warmLoad(Addr addr)
 {
-    if (kind_ == CacheKind::Perfect)
-        return;
-    ++warmTick_;
-    if (Line *line = findLine(addr)) {
-        line->lastUsed = warmTick_;
-        return;
-    }
-    const std::uint32_t set = setOf(addr);
-    const std::uint32_t way = victimWay(set);
-    if (way == config_.assoc)
-        return; // unreachable pre-run (no line is mid-fill)
-    Line &line = lines_[std::size_t(set) * config_.assoc + way];
-    line.valid = true;
-    line.tag = tagOf(addr);
-    line.validFrom = 0;
-    line.lastUsed = warmTick_;
-    line.fetchId = -1;
+    if (kind_ != CacheKind::Perfect)
+        tags_.touch(addr, ++warmTick_);
 }
 
 void
@@ -386,60 +386,38 @@ DataCache::warmStore(Addr addr)
     ++warmTick_;
     // Write-through/write-around: a store only refreshes the recency
     // of a line it hits, it never allocates.
-    if (Line *line = findLine(addr))
+    if (Line *line = tags_.find(addr))
         line->lastUsed = warmTick_;
 }
 
 CacheWarmState
 DataCache::warmState() const
 {
-    return saveWarmLines(lines_, config_.assoc);
+    return tags_.warmState();
 }
 
 void
 DataCache::restoreWarmState(const CacheWarmState &state)
 {
-    restoreWarmLines(lines_, state);
+    tags_.restoreWarmState(state);
 }
 
 void
 InstCache::warmFetch(Addr pc)
 {
-    ++warmTick_;
-    const std::uint32_t set =
-        std::uint32_t(pc / config_.lineBytes) & (numSets_ - 1);
-    const Addr tag = pc / config_.lineBytes / numSets_;
-    Line *base = &lines_[std::size_t(set) * config_.assoc];
-    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            base[w].lastUsed = warmTick_;
-            return;
-        }
-    }
-    std::uint32_t victim = 0;
-    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-        if (!base[w].valid) {
-            victim = w;
-            break;
-        }
-        if (base[w].lastUsed < base[victim].lastUsed)
-            victim = w;
-    }
-    base[victim].valid = true;
-    base[victim].tag = tag;
-    base[victim].lastUsed = warmTick_;
+    tags_.touch(pc, ++warmTick_);
 }
 
 CacheWarmState
 InstCache::warmState() const
 {
-    return saveWarmLines(lines_, config_.assoc);
+    return tags_.warmState();
 }
 
 void
 InstCache::restoreWarmState(const CacheWarmState &state)
 {
-    restoreWarmLines(lines_, state);
+    tags_.restoreWarmState(state);
 }
 
 } // namespace drsim

@@ -29,7 +29,8 @@
 #define DRSIM_MEMORY_CACHE_HH
 
 #include <cstdint>
-#include <deque>
+#include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -40,6 +41,8 @@ namespace drsim {
 enum class CacheKind : std::uint8_t { Perfect, Lockup, LockupFree };
 
 const char *cacheKindName(CacheKind kind);
+/** The kind cacheKindName() names @p name, or nullopt. */
+std::optional<CacheKind> cacheKindFromName(const std::string &name);
 
 struct CacheConfig
 {
@@ -92,6 +95,69 @@ struct WarmLine
 
 using CacheWarmState = std::vector<WarmLine>;
 
+/** The tag state of one cache line: the least a TagArray line holds. */
+struct TagLine
+{
+    bool valid = false;
+    Addr tag = 0;
+    Cycle lastUsed = 0;
+
+    /** A busy line is never a victim; a plain tag line never is busy. */
+    bool busy() const { return false; }
+};
+
+/**
+ * A set-associative tag array with LRU replacement: the geometry, the
+ * set/tag split, lookup, victim choice and warm-state capture that
+ * both caches, timed and functionally warmed alike, train through
+ * (DESIGN.md §5j).  @p Line extends TagLine.  The member bodies live
+ * in cache.cc, the only file that calls them.
+ */
+template <typename Line>
+class TagArray
+{
+  public:
+    explicit TagArray(const CacheConfig &config);
+
+    std::uint32_t setOf(Addr addr) const;
+    Addr tagOf(Addr addr) const;
+
+    Line &
+    at(std::uint32_t set, std::uint32_t way)
+    {
+        return lines_[std::size_t(set) * assoc_ + way];
+    }
+
+    /** The valid line holding @p addr, or nullptr. */
+    Line *find(Addr addr);
+    /**
+     * The way of @p set a fill takes: the first invalid way, else the
+     * least recently used one, never a busy() one (the associativity
+     * when every way is busy).
+     */
+    std::uint32_t victim(std::uint32_t set) const;
+    /**
+     * Touch-or-fill at recency @p stamp: a hit refreshes the line, a
+     * miss fills the victim (unless every way is busy).  True on a hit.
+     */
+    bool touch(Addr addr, Cycle stamp);
+
+    /**
+     * The valid lines, each with its recency rank within its set:
+     * the warmed LRU order, below any cycle number a detailed run
+     * will produce.  A pure read.
+     */
+    CacheWarmState warmState() const;
+    /** Overlay @p state on a never-touched array. */
+    void restoreWarmState(const CacheWarmState &state);
+
+  private:
+    std::uint32_t lineBytes_;
+    std::uint32_t assoc_;
+    std::uint32_t numSets_;
+    std::vector<Line> lines_; ///< numSets_ x assoc_, set-major
+};
+
 /** Outcome of issuing a load to the data cache. */
 struct LoadResult
 {
@@ -128,6 +194,9 @@ struct DCacheStats
         return loads == 0 ? 0.0
                           : double(loadMisses) / double(loads);
     }
+
+    /** Accumulate @p other into this: every counter adds. */
+    void merge(const DCacheStats &other);
 };
 
 class DataCache
@@ -195,15 +264,15 @@ class DataCache
     /// @}
 
   private:
-    struct Line
+    struct Line : TagLine
     {
-        bool valid = false;
-        Addr tag = 0;
         /** Cycle at which the block is present (fills complete late). */
         Cycle validFrom = 0;
-        Cycle lastUsed = 0;
         /** In-flight fetch filling this line (-1 when none). */
         std::int64_t fetchId = -1;
+
+        /** Mid-fill: never evicted. */
+        bool busy() const { return fetchId >= 0; }
     };
 
     struct Fetch
@@ -215,17 +284,12 @@ class DataCache
         std::vector<InstUid> waiters;
     };
 
-    std::uint32_t setOf(Addr addr) const;
-    Addr tagOf(Addr addr) const;
-    Line *findLine(Addr addr);
-    std::uint32_t victimWay(std::uint32_t set) const;
     void pruneFetches(Cycle now);
+    void drainWriteBuffer(Cycle now);
 
     CacheKind kind_;
     CacheConfig config_;
-    std::uint32_t numSets_;
-    std::vector<Line> lines_; ///< numSets_ x assoc
-    void drainWriteBuffer(Cycle now);
+    TagArray<Line> tags_;
 
     std::unordered_map<std::int64_t, Fetch> fetches_;
     std::int64_t nextFetchId_ = 0;
@@ -266,16 +330,8 @@ class InstCache
     void restoreWarmState(const CacheWarmState &state);
 
   private:
-    struct Line
-    {
-        bool valid = false;
-        Addr tag = 0;
-        Cycle lastUsed = 0;
-    };
-
     CacheConfig config_;
-    std::uint32_t numSets_;
-    std::vector<Line> lines_;
+    TagArray<TagLine> tags_;
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;
     Cycle warmTick_ = 0;

@@ -410,13 +410,7 @@ runOneSampled(const CoreConfig &config, const Program &program,
     for (std::size_t i = 0; i < outs.size(); ++i) {
         const WindowOutcome &o = outs[i];
         res.proc.merge(o.proc);
-        res.dcache.loads += o.dcache.loads;
-        res.dcache.loadMisses += o.dcache.loadMisses;
-        res.dcache.loadMerges += o.dcache.loadMerges;
-        res.dcache.storesBuffered += o.dcache.storesBuffered;
-        res.dcache.storeHits += o.dcache.storeHits;
-        res.dcache.fetchesCancelled += o.dcache.fetchesCancelled;
-        res.dcache.mshrRejections += o.dcache.mshrRejections;
+        res.dcache.merge(o.dcache);
         res.icacheAccesses += o.icacheAccesses;
         res.icacheMisses += o.icacheMisses;
         for (int c = 0; c < kNumRegClasses; ++c)

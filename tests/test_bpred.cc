@@ -1,11 +1,14 @@
 /**
  * @file
  * Unit tests for the branch-predictor backends (DESIGN.md §5k): the
- * McFarling combined predictor's speculative-history-update-and-repair
- * discipline, plus the factory and the properties every backend must
- * share — learning biased branches, opaque-history round-trips, and
+ * McFarling combined predictor's learning behavior, the
+ * speculative-history-update-and-repair discipline on every backend,
+ * plus the factory and the properties every backend must share —
+ * learning biased branches, opaque-history round-trips, and
  * checkpointable saveState()/restoreState().
  */
+
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -22,7 +25,7 @@ constexpr Addr kPc = 0x1000;
 /** Architecture-style harness: predict+update history at "insert",
  *  train counters at "issue", repair on mispredict. */
 bool
-predictTrainRepair(CombinedPredictor &p, Addr pc, bool actual)
+drive(BranchPredictor &p, Addr pc, bool actual)
 {
     const std::uint64_t before = p.history();
     const bool pred = p.predictAndUpdateHistory(pc);
@@ -37,7 +40,7 @@ TEST(Predictor, LearnsAlwaysTaken)
     CombinedPredictor p;
     int correct = 0;
     for (int i = 0; i < 100; ++i)
-        correct += predictTrainRepair(p, kPc, true);
+        correct += drive(p, kPc, true);
     // After warmup, every prediction is right.
     EXPECT_GE(correct, 97);
     EXPECT_TRUE(p.predict(kPc));
@@ -47,7 +50,7 @@ TEST(Predictor, LearnsAlwaysNotTaken)
 {
     CombinedPredictor p;
     for (int i = 0; i < 8; ++i)
-        predictTrainRepair(p, kPc, false);
+        drive(p, kPc, false);
     EXPECT_FALSE(p.predict(kPc));
 }
 
@@ -55,9 +58,9 @@ TEST(Predictor, BimodalHysteresis)
 {
     CombinedPredictor p;
     for (int i = 0; i < 16; ++i)
-        predictTrainRepair(p, kPc, true);
+        drive(p, kPc, true);
     // One not-taken blip must not flip a saturated taken counter.
-    predictTrainRepair(p, kPc, false);
+    drive(p, kPc, false);
     EXPECT_TRUE(p.predict(kPc));
 }
 
@@ -69,7 +72,7 @@ TEST(Predictor, GlobalHistoryLearnsAlternation)
     int correct_late = 0;
     for (int i = 0; i < 400; ++i) {
         const bool actual = (i % 2) == 0;
-        const bool ok = predictTrainRepair(p, kPc, actual);
+        const bool ok = drive(p, kPc, actual);
         if (i >= 200)
             correct_late += ok;
     }
@@ -83,7 +86,7 @@ TEST(Predictor, GlobalHistoryLearnsShortPattern)
     int correct_late = 0;
     for (int i = 0; i < 800; ++i) {
         const bool actual = (i % 4) != 3;
-        const bool ok = predictTrainRepair(p, kPc, actual);
+        const bool ok = drive(p, kPc, actual);
         if (i >= 400)
             correct_late += ok;
     }
@@ -97,7 +100,7 @@ TEST(Predictor, RandomBranchesMispredictOften)
     int wrong = 0;
     const int n = 20000;
     for (int i = 0; i < n; ++i)
-        wrong += !predictTrainRepair(p, kPc, rng.chance(0.5));
+        wrong += !drive(p, kPc, rng.chance(0.5));
     // An unpredictable branch should hover near 50% mispredicts.
     EXPECT_GT(wrong, n / 3);
 }
@@ -109,35 +112,57 @@ TEST(Predictor, BiasedRandomMispredictsNearMinority)
     int wrong = 0;
     const int n = 20000;
     for (int i = 0; i < n; ++i)
-        wrong += !predictTrainRepair(p, kPc, rng.chance(0.2));
+        wrong += !drive(p, kPc, rng.chance(0.2));
     const double rate = double(wrong) / n;
     EXPECT_GT(rate, 0.10);
     EXPECT_LT(rate, 0.40);
 }
 
+/** The history token after shifting @p taken into @p before: each
+ *  backend keeps a different number of history bits. */
+std::uint64_t
+shifted(const std::string &spec, std::uint64_t before, bool taken)
+{
+    const std::uint64_t h = (before << 1) | std::uint64_t(taken);
+    if (spec == "bimodal")
+        return 0;
+    if (spec == "gshare")
+        return h & ((1u << 12) - 1);
+    if (spec == "mcfarling")
+        return h & ((1u << 11) - 1);
+    return h; // tage keeps all 64 bits
+}
+
 TEST(Predictor, HistoryShiftsOnPredict)
 {
-    CombinedPredictor p;
-    // Train taken so the prediction is 1, then watch it shift in.
-    for (int i = 0; i < 8; ++i)
-        predictTrainRepair(p, kPc, true);
-    const std::uint64_t before = p.history();
-    p.predictAndUpdateHistory(kPc);
-    EXPECT_EQ(p.history(), ((before << 1) | 1u) &
-                               CombinedPredictor::kHistoryMask);
+    // The shared predict-then-shift serves every backend.  Train taken
+    // long enough to fill the widest register, so a wrong mask shows.
+    for (const std::string &spec : predictorSpecs()) {
+        const auto p = makeBranchPredictor(spec);
+        for (int i = 0; i < 80; ++i)
+            drive(*p, kPc, true);
+        const std::uint64_t before = p->history();
+        EXPECT_TRUE(p->predictAndUpdateHistory(kPc)) << spec;
+        EXPECT_EQ(p->history(), shifted(spec, before, true)) << spec;
+    }
 }
 
 TEST(Predictor, RepairRestoresPreBranchHistory)
 {
-    CombinedPredictor p;
-    for (int i = 0; i < 8; ++i)
-        predictTrainRepair(p, kPc, true);
-    const std::uint64_t before = p.history();
-    p.predictAndUpdateHistory(kPc); // speculative: shifts in "taken"
-    // Mispredict: actual direction was not-taken.
-    p.repairHistory(before, false);
-    EXPECT_EQ(p.history(),
-              (before << 1) & CombinedPredictor::kHistoryMask);
+    for (const std::string &spec : predictorSpecs()) {
+        const auto p = makeBranchPredictor(spec);
+        for (int i = 0; i < 80; ++i)
+            drive(*p, kPc, true);
+        const std::uint64_t before = p->history();
+        p->predictAndUpdateHistory(kPc); // speculative: shifts in "taken"
+        // Mispredict: actual direction was not-taken.
+        p->repairHistory(before, false);
+        EXPECT_EQ(p->history(), shifted(spec, before, false)) << spec;
+        // A token is masked to the backend's width on the way in.
+        p->repairHistory(~std::uint64_t(0), true);
+        EXPECT_EQ(p->history(), shifted(spec, ~std::uint64_t(0), true))
+            << spec;
+    }
 }
 
 TEST(Predictor, PredictIsStateless)
@@ -155,8 +180,8 @@ TEST(Predictor, DistinctPcsTrainIndependently)
     const Addr pc_a = 0x1000;
     const Addr pc_b = 0x2000; // different bimodal index
     for (int i = 0; i < 16; ++i) {
-        predictTrainRepair(p, pc_a, true);
-        predictTrainRepair(p, pc_b, false);
+        drive(p, pc_a, true);
+        drive(p, pc_b, false);
     }
     EXPECT_TRUE(p.predict(pc_a));
     EXPECT_FALSE(p.predict(pc_b));
@@ -168,26 +193,14 @@ TEST(Predictor, SelectorPrefersBetterComponent)
     // mispredict-free stretch implies the selector routed to gshare.
     CombinedPredictor p;
     for (int i = 0; i < 600; ++i)
-        predictTrainRepair(p, kPc, (i % 2) == 0);
+        drive(p, kPc, (i % 2) == 0);
     int correct = 0;
     for (int i = 600; i < 700; ++i)
-        correct += predictTrainRepair(p, kPc, (i % 2) == 0);
+        correct += drive(p, kPc, (i % 2) == 0);
     EXPECT_GE(correct, 98);
 }
 
 // ------------------------------------------------- backend interface
-
-/** Same harness as predictTrainRepair, over the opaque interface. */
-bool
-drive(BranchPredictor &p, Addr pc, bool actual)
-{
-    const std::uint64_t before = p.history();
-    const bool pred = p.predictAndUpdateHistory(pc);
-    p.update(pc, before, actual);
-    if (pred != actual)
-        p.repairHistory(before, actual);
-    return pred == actual;
-}
 
 TEST(PredictorFactory, BuildsEveryRegisteredBackend)
 {

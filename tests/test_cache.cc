@@ -4,9 +4,12 @@
  * lockup-free) and the instruction cache.
  */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "memory/cache.hh"
 
 namespace drsim {
@@ -132,6 +135,16 @@ TEST(Cache, LruEvictsLeastRecentlyUsed)
     EXPECT_TRUE(cache.load(a, 500, 5).hit);
     EXPECT_FALSE(cache.load(b, 600, 6).hit); // b was evicted
     EXPECT_EQ(cache.stats().loadMisses, 4u);
+
+    // The instruction cache replaces through the same tag array.
+    InstCache icache(cfg);
+    icache.fetch(a, 100);
+    icache.fetch(b, 200);
+    icache.fetch(a, 300);
+    icache.fetch(c, 400);                          // evicts b
+    EXPECT_EQ(icache.fetch(a, 500), 500u);         // hit
+    EXPECT_EQ(icache.fetch(b, 600), 600u + 16);    // b was evicted
+    EXPECT_EQ(icache.misses(), 4u);
 }
 
 TEST(Cache, StoresWriteAroundWithoutAllocating)
@@ -348,6 +361,64 @@ TEST(ICache, WarmStateIsAPureRead)
     warm_b(once);
     EXPECT_EQ(captured.warmState(), once.warmState());
     EXPECT_NE(once.warmState(), mid);
+}
+
+/** A seeded address stream over 8x a small cache's capacity, so
+ *  every set sees conflicts and evictions. */
+std::vector<Addr>
+addressStream(std::uint64_t seed, int n)
+{
+    Rng rng(seed);
+    std::vector<Addr> out;
+    for (int i = 0; i < n; ++i)
+        out.push_back(Addr(rng.below(8 * 1024)));
+    return out;
+}
+
+TEST(ICache, TimedAndWarmFetchLeaveEqualState)
+{
+    // fetch() and warmFetch() train the same tag array the same way:
+    // only the recency stamps differ, and warmState() ranks those.
+    InstCache timed(smallConfig());
+    InstCache warmed(smallConfig());
+    Cycle now = 100;
+    for (const Addr pc : addressStream(11, 4000)) {
+        timed.fetch(pc, now);
+        now += 3;
+        warmed.warmFetch(pc);
+    }
+    EXPECT_GT(timed.misses(), 100u);
+    EXPECT_EQ(timed.warmState(), warmed.warmState());
+}
+
+TEST(Cache, TimedAndWarmLoadLeaveEqualState)
+{
+    // Accesses spaced past the miss latency, so no fill is ever in
+    // flight: load()/storeCommit() then train the tags exactly as
+    // warmLoad()/warmStore() do.
+    for (const CacheKind kind : {CacheKind::Lockup,
+                                 CacheKind::LockupFree}) {
+        DataCache timed(kind, smallConfig());
+        DataCache warmed(kind, smallConfig());
+        Rng kinds(5);
+        Cycle now = 100;
+        InstUid uid = 0;
+        for (const Addr addr : addressStream(23, 4000)) {
+            if (kinds.chance(0.25)) {
+                timed.storeCommit(addr, now);
+                warmed.warmStore(addr);
+            } else {
+                ASSERT_TRUE(timed.loadCanIssue(now));
+                timed.load(addr, now, uid++);
+                warmed.warmLoad(addr);
+            }
+            now += 20; // > hitLatency + missPenalty
+        }
+        EXPECT_GT(timed.stats().loadMisses, 100u);
+        EXPECT_GT(timed.stats().storeHits, 0u);
+        EXPECT_EQ(timed.warmState(), warmed.warmState())
+            << cacheKindName(kind);
+    }
 }
 
 class CacheGeometryTest

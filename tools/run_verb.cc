@@ -223,22 +223,16 @@ drsim::tools::runVerb(int argc, const char *const *argv)
     cfg.issueWidth = int(width);
     cfg.dqSize = dq < 0 ? (width == 4 ? 32 : 64) : int(dq);
     cfg.numPhysRegs = int(regs);
-    if (model == "precise") {
-        cfg.exceptionModel = ExceptionModel::Precise;
-    } else if (model == "imprecise") {
-        cfg.exceptionModel = ExceptionModel::Imprecise;
-    } else {
-        fatal("unknown exception model '", model, "'");
+    const auto model_kind = exceptionModelFromName(model);
+    const auto cache_kind = cacheKindFromName(cache);
+    if (!model_kind || !cache_kind) {
+        std::fprintf(stderr, "drsim run: unknown %s '%s'\n",
+                     model_kind ? "cache kind" : "exception model",
+                     (model_kind ? cache : model).c_str());
+        return 2;
     }
-    if (cache == "perfect") {
-        cfg.cacheKind = CacheKind::Perfect;
-    } else if (cache == "lockup") {
-        cfg.cacheKind = CacheKind::Lockup;
-    } else if (cache == "lockup-free") {
-        cfg.cacheKind = CacheKind::LockupFree;
-    } else {
-        fatal("unknown cache kind '", cache, "'");
-    }
+    cfg.exceptionModel = *model_kind;
+    cfg.cacheKind = *cache_kind;
     cfg.dcache.maxOutstandingMisses = std::uint32_t(mshrs);
     cfg.dcache.writeBufferEntries = std::uint32_t(wb_entries);
     cfg.dcache.writeBufferDrainCycles = Cycle(wb_drain);
