@@ -124,10 +124,11 @@ bool knownPredictor(const std::string &spec);
 std::string predictorSpecList();
 
 /**
- * Construct the backend named by @p spec ("mcfarling", "bimodal",
- * "gshare", "tage"); fatal() on an unknown spec — configurations are
- * validated by checkCoreConfig() before any Processor is built, so
- * reaching the factory with a bad spec is a programming error.
+ * Construct the backend named by @p spec.  One name table in
+ * predictor.cc feeds this factory, knownPredictor(), predictorSpecs()
+ * and predictorSpecList().  fatal() on an unknown spec, which the
+ * unknown-predictor rule of checkCoreConfig() rejects before any
+ * Processor is built.
  */
 std::unique_ptr<BranchPredictor>
 makeBranchPredictor(const std::string &spec);

@@ -22,24 +22,11 @@ Histogram::normalized() const
 std::uint64_t
 Histogram::percentile(double fraction) const
 {
-    if (fraction <= 0.0 || fraction > 1.0)
-        fatal("percentile fraction ", fraction, " outside (0, 1]");
+    // An empty histogram's density is all zeros; walking an empty one
+    // instead still rejects a bad fraction and yields 0.
     if (total_ == 0)
-        return 0;
-    // Accumulate the cumulative *fraction* and compare with the same
-    // rounding epsilon densityPercentile() uses, so the two paths
-    // agree bucket-for-bucket.  Comparing a raw running count against
-    // fraction * total skids to a later bucket whenever the product
-    // rounds up (e.g. 0.9 * 10 > 9) or, on large-total histograms,
-    // when the accumulation rounds below the target at fraction 1.0.
-    const double inv = 1.0 / static_cast<double>(total_);
-    double running = 0.0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        running += static_cast<double>(counts_[i]) * inv;
-        if (running + 1e-12 >= fraction)
-            return i;
-    }
-    return counts_.empty() ? 0 : counts_.size() - 1;
+        return densityPercentile({}, fraction);
+    return densityPercentile(normalized(), fraction);
 }
 
 double

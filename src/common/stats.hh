@@ -72,7 +72,8 @@ class Histogram
 
     /**
      * Smallest value v such that at least @p fraction of the samples
-     * are <= v.  @p fraction must be in (0, 1].
+     * are <= v: densityPercentile() of normalized(), 0 when empty.
+     * @p fraction must be in (0, 1].
      */
     std::uint64_t percentile(double fraction) const;
 

@@ -172,6 +172,8 @@ struct CoreConfig
     int numFpDividers() const { return fpDivIssueLimit(); }
     /// @}
 
+    /** fatal() listing every error rule of checkCoreConfig() broken
+     *  (config_check.cc); silent and allocation-free when feasible. */
     void validate() const;
 
     /** Memberwise equality (grid-expansion tests compare registry

@@ -1,21 +1,19 @@
 /**
  * @file
- * Static feasibility screening for CoreConfig, run at spec-parse time
- * (`drsim bench` sweep expansion, `drsim serve` request handling) so an
- * infeasible point rejects the whole sweep up front instead of
- * fatal()ing mid-run after hours of simulation.
- *
- * Unlike CoreConfig::validate() — which throws on the *first* problem
- * when a Processor is built — these checks collect every finding, so
- * a spec author sees the full list at once.  validate() remains the
- * last-line defense: everything it rejects about the core is also an
- * error here, but cache geometry (CacheConfig::validate()) is checked
- * only when a Processor is built.
+ * The feasibility rules of a CoreConfig, written once as a table that
+ * every screen reads.  checkCoreConfig() collects every finding, so a
+ * spec author sees the full list at once.  requireFeasibleConfig()
+ * screens at spec-parse time (`drsim run`, `drsim bench` expansion,
+ * `drsim serve` requests) and also warns.  CoreConfig::validate()
+ * rejects at Processor construction without warning, as a sampled run
+ * builds one Processor per window, and allocates nothing on a feasible
+ * config.  Both rejections list every error with its rule id.
  */
 
 #ifndef DRSIM_CORE_CONFIG_CHECK_HH
 #define DRSIM_CORE_CONFIG_CHECK_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,27 +30,23 @@ struct ConfigFinding
     bool error = true;
 };
 
-/**
- * All feasibility findings for @p cfg: issue width not 2/4/8, dispatch
- * window smaller than the issue width, too few physical registers,
- * split queues with a starved class, inconsistent sampling lengths
- * (warmup >= interval, zero window, no fast-forward left), and a
- * zero-latency non-load opcode in the latency table.
- */
-std::vector<ConfigFinding> checkCoreConfig(const CoreConfig &cfg);
+/** One rule of the table. */
+struct ConfigRule
+{
+    /** Stable kebab-case id, e.g. "window-lt-issue-width". */
+    const char *id;
+    /** An error makes a config infeasible; a warning does not. */
+    bool error;
+    /** True when the config breaks the rule; then the reason goes to
+     *  *why unless why is null. */
+    bool (*broken)(const CoreConfig &, std::string *why);
+};
 
-/**
- * Register-file port feasibility (the paper's 2 read + 1 write port
- * per issue slot geometry): an @p issue_width machine needs
- * 2*issue_width read ports and issue_width write ports unless a port
- * sharing/stall scheme is modeled.  Pure arithmetic — CoreConfig has
- * no port fields; the timing co-design layer (src/timing) sweeps
- * geometries and screens them through this.
- */
-std::vector<ConfigFinding> checkRegFilePorts(int read_ports,
-                                             int write_ports,
-                                             int issue_width,
-                                             bool port_sharing);
+/** Every rule, in reporting order. */
+std::span<const ConfigRule> configRules();
+
+/** The finding of every rule @p cfg violates, in table order. */
+std::vector<ConfigFinding> checkCoreConfig(const CoreConfig &cfg);
 
 /**
  * fatal() (listing every error finding) when @p cfg is infeasible;

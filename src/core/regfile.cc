@@ -32,36 +32,6 @@ exceptionModelFromName(const std::string &name)
     return std::nullopt;
 }
 
-void
-CoreConfig::validate() const
-{
-    if (issueWidth != 2 && issueWidth != 4 && issueWidth != 8)
-        fatal("issue width must be 2, 4 or 8 (got ", issueWidth, ")");
-    if (resultBuses < 0)
-        fatal("result buses must be >= 0 (got ", resultBuses,
-              "; 0 = unlimited)");
-    if (dqSize < 1)
-        fatal("dispatch queue must have at least one entry");
-    if (splitDispatchQueues && memQueueSize() < 1)
-        fatal("split dispatch queues need dqSize >= 4 (got ", dqSize,
-              ")");
-    if (numPhysRegs < kNumVirtualRegs)
-        fatal("fewer than ", kNumVirtualRegs, " physical registers "
-              "deadlocks the machine (paper Section 3.1)");
-    if (sampling.enabled()) {
-        if (sampling.window == 0)
-            fatal("sampling needs a nonzero measured window");
-        if (!sampling.leavesFastForward()) {
-            fatal("sampling interval (", sampling.interval,
-                  ") must exceed warmup + window (", sampling.warmup,
-                  " + ", sampling.window,
-                  "): nothing would be fast-forwarded");
-        }
-    }
-    dcache.validate();
-    icache.validate();
-}
-
 RenameUnit::RenameUnit(int num_phys_regs, ExceptionModel model)
     : numPhysRegs_(num_phys_regs), model_(model)
 {

@@ -126,6 +126,15 @@ inline constexpr std::array<OpTraits, kNumOpcodes> kOpTraits = {{
     {"halt",   OpClass::IntAlu,     1},
 }};
 
+// A non-load op completing in the cycle it issues would break both the
+// event ring and every static bound.
+static_assert([] {
+    for (const OpTraits &t : kOpTraits)
+        if (t.cls != OpClass::MemLoad && t.latency < 1)
+            return false;
+    return true;
+}(), "every non-load opcode needs a latency of at least one cycle");
+
 } // namespace detail
 
 /**

@@ -32,18 +32,27 @@ cacheKindFromName(const std::string &name)
     return std::nullopt;
 }
 
+const char *
+CacheConfig::geometryError() const
+{
+    if (lineBytes == 0 || (lineBytes & (lineBytes - 1)) != 0)
+        return "line size must be a power of two";
+    if (assoc == 0)
+        return "associativity must be positive";
+    const std::uint64_t setBytes = std::uint64_t(lineBytes) * assoc;
+    if (sizeBytes % setBytes != 0)
+        return "size must be a multiple of lineBytes * assoc";
+    const std::uint64_t sets = sizeBytes / setBytes;
+    if (sets == 0 || (sets & (sets - 1)) != 0)
+        return "set count must be a power of two";
+    return nullptr;
+}
+
 void
 CacheConfig::validate() const
 {
-    if (lineBytes == 0 || (lineBytes & (lineBytes - 1)) != 0)
-        fatal("cache line size must be a power of two");
-    if (assoc == 0)
-        fatal("cache associativity must be positive");
-    if (sizeBytes % (lineBytes * assoc) != 0)
-        fatal("cache size must be a multiple of lineBytes * assoc");
-    const std::uint32_t sets = sizeBytes / (lineBytes * assoc);
-    if ((sets & (sets - 1)) != 0)
-        fatal("cache set count must be a power of two");
+    if (const char *error = geometryError())
+        fatal("cache ", error);
 }
 
 void

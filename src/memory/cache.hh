@@ -71,6 +71,10 @@ struct CacheConfig
     std::uint32_t writeBufferEntries = 0; ///< 0 = unlimited (paper)
     Cycle writeBufferDrainCycles = 4;
 
+    /** Why this geometry cannot be built, or nullptr: the line size
+     *  and set count must be powers of two, the associativity > 0.
+     *  validate() and checkCoreConfig()'s geometry rules read it. */
+    const char *geometryError() const;
     void validate() const;
 
     /** Memberwise equality (needed by CoreConfig's). */

@@ -38,22 +38,6 @@ resolveJobs(int requested)
     return ThreadPool::hardwareJobs();
 }
 
-SuiteResult
-runSuite(const CoreConfig &config, const std::vector<Workload> &suite,
-         int jobs)
-{
-    jobs = resolveJobs(jobs);
-    if (jobs == 1 || suite.size() <= 1)
-        return runSuite(config, suite); // legacy serial path
-
-    std::vector<SimResult> runs(suite.size());
-    ThreadPool pool(jobs);
-    pool.parallelFor(suite.size(), [&](std::size_t i) {
-        runs[i] = simulate(config, suite[i]);
-    });
-    return SuiteResult(std::move(runs));
-}
-
 std::vector<ExperimentResult>
 runExperiments(const std::vector<ExperimentSpec> &specs,
                const std::vector<Workload> &suite, int jobs)

@@ -5,15 +5,15 @@
  * Every (configuration, workload) simulation is independent: a run
  * owns its Processor, Emulator, caches, predictor and histograms, and
  * only *reads* the shared Program (see DESIGN.md, "Concurrency
- * model").  The runner exploits this by fanning runs out over a
+ * model").  runExperiments() exploits this by fanning runs out over a
  * fixed-size thread pool and reassembling results by index, so the
- * output is bit-identical to the serial runSuite() path no matter how
- * many workers raced to produce it.
+ * output is bit-identical to the serial runSuite() (simulator.hh) no
+ * matter how many workers raced to produce it.
  *
  * Job-count resolution (resolveJobs): an explicit positive argument
  * wins; otherwise the DRSIM_JOBS environment variable; otherwise the
  * hardware concurrency.  A job count of 1 bypasses the pool entirely
- * and takes the legacy serial path.
+ * and runs the points in order on the calling thread.
  *
  * runExperiments() runs a batch of *named* configurations over one
  * suite and pairs naturally with resultsJson()/writeResultsFile(),
@@ -47,16 +47,6 @@ constexpr int kMaxJobs = 1024;
  * returns >= 1.
  */
 int resolveJobs(int requested = 0);
-
-/**
- * Parallel counterpart of runSuite() (simulator.hh): simulate every
- * workload under @p config on @p jobs workers.  Results are assembled
- * in workload order and are bit-identical to the serial path; jobs
- * resolves via resolveJobs(), and a resolved count of 1 *is* the
- * serial path.
- */
-SuiteResult runSuite(const CoreConfig &config,
-                     const std::vector<Workload> &suite, int jobs);
 
 /** One named machine configuration in an experiment batch. */
 struct ExperimentSpec

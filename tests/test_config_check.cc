@@ -1,18 +1,22 @@
 /**
  * @file
- * Unit tests for the static CoreConfig feasibility screen
- * (src/core/config_check): one test per rule id, the register-file
- * port arithmetic, requireFeasibleConfig()'s collect-all behavior,
- * and the spec-parse-time wiring through exp::expandExperiment.
+ * Unit tests for the CoreConfig rule table (src/core/config_check):
+ * one test per rule id, CoreConfig::validate() against the table,
+ * cache geometry, requireFeasibleConfig()'s collect-all behavior, and
+ * the spec-parse-time wiring through exp::expandExperiment.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
+#include <map>
 
 #include "common/logging.hh"
 #include "core/config_check.hh"
+#include "core/processor.hh"
 #include "exp/registry.hh"
+#include "workloads/builder.hh"
 
 namespace drsim {
 namespace {
@@ -202,26 +206,205 @@ TEST(ConfigCheck, WarnsWhenBudgetBelowOneInterval)
     requireFeasibleConfig(cfg, "budget-warning");
 }
 
-TEST(ConfigCheck, StockLatencyTableHasNoZeroLatencyOps)
+/** A config that breaks each error rule of the table. */
+const std::map<std::string, std::function<void(CoreConfig &)>> &
+errorCases()
 {
-    // This rule exists to catch future edits to kOpTraits; it must
-    // not fire on the shipped table.
-    EXPECT_FALSE(
-        hasRule(checkCoreConfig(CoreConfig{}), "zero-latency-op"));
+    static const std::map<std::string,
+                          std::function<void(CoreConfig &)>>
+        cases = {
+            {"issue-width", [](CoreConfig &c) { c.issueWidth = 6; }},
+            {"window-lt-issue-width",
+             [](CoreConfig &c) { c.dqSize = 2; }},
+            {"split-queue-starved",
+             [](CoreConfig &c) {
+                 c.splitDispatchQueues = true;
+                 c.dqSize = 5;
+             }},
+            // The derived getters floor every class at one, so no
+            // supported width reaches this rule (see
+            // NarrowWidthKeepsPerClassIssueLimitsAlive).
+            {"issue-class-starved", nullptr},
+            {"unknown-predictor",
+             [](CoreConfig &c) { c.predictor = "perceptron"; }},
+            {"negative-result-buses",
+             [](CoreConfig &c) { c.resultBuses = -1; }},
+            {"phys-regs-lt-virtual",
+             [](CoreConfig &c) { c.numPhysRegs = 31; }},
+            {"sampling-zero-window",
+             [](CoreConfig &c) {
+                 c.sampling.interval = 1000;
+                 c.sampling.warmup = 100;
+             }},
+            {"sampling-warmup-ge-interval",
+             [](CoreConfig &c) {
+                 c.sampling.interval = 1000;
+                 c.sampling.window = 10;
+                 c.sampling.warmup = 1000;
+             }},
+            {"sampling-no-fast-forward",
+             [](CoreConfig &c) {
+                 c.sampling.interval = 1000;
+                 c.sampling.window = 600;
+                 c.sampling.warmup = 500;
+             }},
+            {"dcache-geometry",
+             [](CoreConfig &c) { c.dcache.lineBytes = 48; }},
+            {"icache-geometry",
+             [](CoreConfig &c) { c.icache.assoc = 0; }},
+        };
+    return cases;
 }
 
-TEST(ConfigCheck, RegFilePortArithmetic)
+/** validate() throws exactly when checkCoreConfig() reports an
+ *  error, and its message names exactly the error rule ids. */
+void
+expectValidateAgreesWithTable(const CoreConfig &cfg)
 {
-    EXPECT_TRUE(checkRegFilePorts(8, 4, 4, false).empty());
-    EXPECT_TRUE(
-        hasRule(checkRegFilePorts(6, 4, 4, false),
-                "read-ports-lt-demand"));
-    EXPECT_TRUE(
-        hasRule(checkRegFilePorts(8, 3, 4, false),
-                "write-ports-lt-demand"));
-    EXPECT_TRUE(checkRegFilePorts(16, 8, 8, false).empty());
-    // A port sharing/stall scheme models the contention instead.
-    EXPECT_TRUE(checkRegFilePorts(2, 1, 8, true).empty());
+    const std::vector<ConfigFinding> findings = checkCoreConfig(cfg);
+    bool infeasible = false;
+    for (const ConfigFinding &f : findings)
+        infeasible = infeasible || f.error;
+    if (!infeasible) {
+        EXPECT_NO_THROW(cfg.validate());
+        return;
+    }
+    try {
+        cfg.validate();
+        ADD_FAILURE() << "validate() accepted an infeasible config";
+    } catch (const FatalError &e) {
+        const std::string msg = e.what();
+        for (const ConfigFinding &f : findings) {
+            const std::string tag = std::string("[") + f.rule + "]";
+            EXPECT_EQ(msg.find(tag) != std::string::npos, f.error)
+                << tag << " in: " << msg;
+        }
+    }
+}
+
+TEST(ConfigCheck, ValidateRejectsExactlyTheTableErrors)
+{
+    for (const ConfigRule &rule : configRules()) {
+        if (!rule.error)
+            continue;
+        const auto it = errorCases().find(rule.id);
+        ASSERT_NE(it, errorCases().end())
+            << "no test case for error rule " << rule.id;
+        if (!it->second)
+            continue;
+        CoreConfig cfg;
+        it->second(cfg);
+        EXPECT_TRUE(hasRule(checkCoreConfig(cfg), rule.id)) << rule.id;
+        expectValidateAgreesWithTable(cfg);
+    }
+
+    // Every case at once: one FatalError lists them all.
+    CoreConfig all;
+    for (const auto &[id, breaks] : errorCases()) {
+        if (breaks)
+            breaks(all);
+    }
+    expectValidateAgreesWithTable(all);
+
+    // Clean and warning-only configs pass.
+    expectValidateAgreesWithTable(CoreConfig{});
+    CoreConfig warned;
+    warned.issueWidth = 8;
+    warned.dqSize = 64;
+    warned.resultBuses = 1;
+    ASSERT_TRUE(
+        hasRule(checkCoreConfig(warned), "result-buses-lt-half-width"));
+    expectValidateAgreesWithTable(warned);
+}
+
+TEST(ConfigCheck, ValidateAndRequireFeasibleShareOneFormat)
+{
+    CoreConfig cfg;
+    cfg.issueWidth = 5;
+    cfg.numPhysRegs = 8;
+    const std::string errors =
+        " (2 errors):"
+        "\n  [issue-width] issue width must be 2, 4 or 8 (got 5)"
+        "\n  [phys-regs-lt-virtual] 8 physical registers cannot map "
+        "32 architectural ones: rename deadlocks (paper Section 3.1)";
+    try {
+        cfg.validate();
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "infeasible configuration" + errors);
+    }
+    try {
+        requireFeasibleConfig(cfg, "unit-test");
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "infeasible configuration for 'unit-test'" + errors);
+    }
+}
+
+Program
+haltProgram()
+{
+    ProgramBuilder b("p");
+    b.halt();
+    return b.build();
+}
+
+TEST(ConfigCheck, WarningOnlyConfigBuildsAProcessorSilently)
+{
+    CoreConfig cfg;
+    cfg.issueWidth = 8;
+    cfg.dqSize = 64;
+    cfg.resultBuses = 1;
+    const Program prog = haltProgram();
+    testing::internal::CaptureStderr();
+    EXPECT_NO_THROW(Processor(cfg, prog));
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+}
+
+TEST(ConfigCheck, ProcessorRejectsWindowSmallerThanIssueGroup)
+{
+    // Every entry point's screen rejects this machine, and so must a
+    // Processor built directly.
+    CoreConfig cfg;
+    cfg.issueWidth = 4;
+    cfg.dqSize = 2;
+    EXPECT_THROW(Processor(cfg, haltProgram()), FatalError);
+}
+
+TEST(ConfigCheck, CacheGeometryIsATableRule)
+{
+    const auto expectRejected = [](const char *what, auto &&edit) {
+        CoreConfig cfg;
+        edit(cfg.dcache);
+        edit(cfg.icache);
+        const auto findings = checkCoreConfig(cfg);
+        EXPECT_TRUE(hasRule(findings, "dcache-geometry")) << what;
+        EXPECT_TRUE(hasRule(findings, "icache-geometry")) << what;
+        EXPECT_THROW(cfg.validate(), FatalError) << what;
+        EXPECT_NE(cfg.dcache.geometryError(), nullptr) << what;
+        EXPECT_THROW(cfg.dcache.validate(), FatalError) << what;
+    };
+    expectRejected("line 48", [](CacheConfig &c) { c.lineBytes = 48; });
+    expectRejected("assoc 0", [](CacheConfig &c) { c.assoc = 0; });
+    expectRejected("3 sets", [](CacheConfig &c) {
+        c.sizeBytes = 3 * c.assoc * c.lineBytes;
+    });
+    expectRejected("no sets", [](CacheConfig &c) { c.sizeBytes = 0; });
+    // lineBytes * assoc is 2^32: a 32-bit product would wrap to 0 and
+    // divide by zero.
+    expectRejected("set bytes past 32 bits", [](CacheConfig &c) {
+        c.lineBytes = 1u << 16;
+        c.assoc = 1u << 16;
+    });
+
+    CoreConfig cfg;
+    cfg.dcache.sizeBytes = 8 * 1024;
+    cfg.dcache.assoc = 4;
+    cfg.icache.lineBytes = 64;
+    EXPECT_TRUE(checkCoreConfig(cfg).empty());
+    EXPECT_EQ(cfg.dcache.geometryError(), nullptr);
 }
 
 TEST(ConfigCheck, RequireFeasibleListsEveryError)

@@ -244,7 +244,9 @@ TEST(Runner, ParallelSuiteBitIdenticalToSerial)
     const CoreConfig cfg = smallConfig();
 
     const SuiteResult serial = runSuite(cfg, suite);
-    const SuiteResult parallel = runSuite(cfg, suite, 4);
+    const auto batch = runExperiments({{"one", cfg}}, suite, 4);
+    ASSERT_EQ(batch.size(), 1u);
+    const SuiteResult &parallel = batch[0].suite;
 
     ASSERT_EQ(serial.runs().size(), parallel.runs().size());
     for (std::size_t i = 0; i < serial.runs().size(); ++i)
@@ -267,7 +269,9 @@ TEST(Runner, SingleJobTakesSerialPath)
     const auto suite = buildSpec92Suite(1);
     const CoreConfig cfg = smallConfig();
     const SuiteResult serial = runSuite(cfg, suite);
-    const SuiteResult one_job = runSuite(cfg, suite, 1);
+    const auto batch = runExperiments({{"one", cfg}}, suite, 1);
+    ASSERT_EQ(batch.size(), 1u);
+    const SuiteResult &one_job = batch[0].suite;
     ASSERT_EQ(serial.runs().size(), one_job.runs().size());
     for (std::size_t i = 0; i < serial.runs().size(); ++i)
         expectRunsIdentical(serial.runs()[i], one_job.runs()[i]);
@@ -304,7 +308,6 @@ TEST(Runner, InvalidConfigErrorPropagatesFromWorkers)
     bad.issueWidth = 6; // validate() rejects anything but 2 / 4 / 8
     specs.push_back({"bad", bad});
     EXPECT_THROW(runExperiments(specs, suite, 4), FatalError);
-    EXPECT_THROW(runSuite(bad, suite, 4), FatalError);
 }
 
 TEST(Runner, EmptySpecBatchIsRejected)
