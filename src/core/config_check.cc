@@ -201,4 +201,19 @@ requireFeasibleConfig(const CoreConfig &cfg,
     }
 }
 
+void
+requireFeasibleSampling(const SamplingConfig &sampling,
+                        const std::string &what)
+{
+    // The default machine breaks no rule and has no budget, so only
+    // the sampling rules can fire here.
+    CoreConfig cfg;
+    cfg.sampling = sampling;
+    const std::vector<ConfigFinding> findings = checkCoreConfig(cfg);
+    for (const ConfigFinding &f : findings) {
+        if (f.error)
+            rejectInfeasible(findings, "infeasible ", what);
+    }
+}
+
 } // namespace drsim

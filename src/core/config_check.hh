@@ -4,10 +4,12 @@
  * every screen reads.  checkCoreConfig() collects every finding, so a
  * spec author sees the full list at once.  requireFeasibleConfig()
  * screens at spec-parse time (`drsim run`, `drsim bench` expansion,
- * `drsim serve` requests) and also warns.  CoreConfig::validate()
- * rejects at Processor construction without warning, as a sampled run
- * builds one Processor per window, and allocates nothing on a feasible
- * config.  Both rejections list every error with its rule id.
+ * `drsim serve` requests) and also warns; requireFeasibleSampling()
+ * screens a `--sample` spec or a request's sampling member alone.
+ * CoreConfig::validate() rejects at Processor construction without
+ * warning, as a sampled run builds one Processor per window, and
+ * allocates nothing on a feasible config.  Every rejection lists
+ * every error with its rule id.
  */
 
 #ifndef DRSIM_CORE_CONFIG_CHECK_HH
@@ -55,6 +57,15 @@ std::vector<ConfigFinding> checkCoreConfig(const CoreConfig &cfg);
  */
 void requireFeasibleConfig(const CoreConfig &cfg,
                            const std::string &context);
+
+/**
+ * fatal() with the finding of every sampling rule @p sampling breaks,
+ * as requireFeasibleConfig() words them; @p what names it ("sampling
+ * spec '1000:0:10'").  For screening sampling parameters before any
+ * machine configuration carries them.
+ */
+void requireFeasibleSampling(const SamplingConfig &sampling,
+                             const std::string &what);
 
 } // namespace drsim
 

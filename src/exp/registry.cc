@@ -78,13 +78,7 @@ parseSamplingSpec(const std::string &text)
                              : std::max<std::uint64_t>(
                                    sc.interval / 20, 1);
     sc.warmup = nfields >= 3 ? fields[2] : sc.window;
-    if (sc.window == 0)
-        fatal("bad sampling spec '", text, "': window must be > 0");
-    if (!sc.leavesFastForward()) {
-        fatal("bad sampling spec '", text, "': interval (",
-              sc.interval, ") must exceed warmup + window (",
-              sc.warmup, " + ", sc.window, ")");
-    }
+    requireFeasibleSampling(sc, "sampling spec '" + text + "'");
     return sc;
 }
 

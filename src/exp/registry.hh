@@ -77,8 +77,9 @@ struct RunContext
  * Parse an `INTERVAL[:WINDOW[:WARMUP]]` sampling spec (the --sample
  * flag and DRSIM_SAMPLE env syntax).  Omitted WINDOW defaults to
  * interval/20 (at least 1); omitted WARMUP defaults to WINDOW.
- * fatal() on malformed text, a fourth field or an infeasible
- * combination.
+ * fatal() on malformed text or a fourth field, and on an infeasible
+ * combination with the config table's sampling finding
+ * (requireFeasibleSampling).
  */
 SamplingConfig parseSamplingSpec(const std::string &text);
 

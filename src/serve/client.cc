@@ -93,12 +93,17 @@ std::optional<std::string>
 ServeClient::readLine()
 {
     for (;;) {
-        const std::size_t nl = buffer_.find('\n');
+        const std::size_t nl = buffer_.find('\n', scanned_);
         if (nl != std::string::npos) {
-            std::string line = buffer_.substr(0, nl);
-            buffer_.erase(0, nl + 1);
+            std::string line = buffer_.substr(lineStart_, nl - lineStart_);
+            lineStart_ = scanned_ = nl + 1;
             return line;
         }
+        // Drop the lines already returned only when more bytes must
+        // come, so a burst of replies costs one move, not one each.
+        buffer_.erase(0, lineStart_);
+        lineStart_ = 0;
+        scanned_ = buffer_.size();
         char chunk[65536];
         const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
         if (n < 0) {

@@ -55,7 +55,12 @@ class ServeClient
 
   private:
     int fd_ = -1;
+    /** Received bytes.  The next unreturned line starts at
+     *  lineStart_, and [lineStart_, scanned_) holds no '\n', so each
+     *  byte is searched once however many pieces its line came in. */
     std::string buffer_;
+    std::size_t lineStart_ = 0;
+    std::size_t scanned_ = 0;
 };
 
 /**

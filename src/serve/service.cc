@@ -65,11 +65,13 @@ SweepService::completePoint(const std::string &keyText,
     std::exception_ptr error;
     try {
         if (auto cached = cache_.load(key)) {
-            outcome->result = std::move(*cached);
+            outcome->result =
+                std::make_shared<const SimResult>(std::move(*cached));
             outcome->cacheHit = true;
         } else {
-            outcome->result = simulate(key.config, workload);
-            cache_.store(key, outcome->result);
+            outcome->result = std::make_shared<const SimResult>(
+                simulate(key.config, workload));
+            cache_.store(key, *outcome->result);
         }
     } catch (const FatalError &) {
         error = std::current_exception();

@@ -12,10 +12,17 @@
  * A failed disk store still delivers the point and keeps it in
  * memory; only a failed load or simulation is a point error.
  *
- * The memory tier is deliberately eviction-free: a point record is a
- * few kilobytes, so even a hundred-thousand-point campaign stays in
- * the hundreds of megabytes, and serving "never simulate the same
- * point twice" from memory is the whole purpose of the daemon.
+ * Every delivery of a point shares the one resident SimResult
+ * (PointOutcome::result); a memory hit copies no histogram.
+ *
+ * The memory tier is deliberately eviction-free: serving "never
+ * simulate the same point twice" from memory is the whole purpose of
+ * the daemon.  It is not small.  At scale 2 a point record is 26 KB
+ * at the median of a served stream and 63 KB on average over fig7's
+ * width-4/8 configs; at scale 3 the largest tomcatv records reach
+ * 1.37 MB, and a resident SimResult is about four times its record
+ * (dense lifetime histograms).  A cap on this tier has to count the
+ * resident results, not the record bytes.
  */
 
 #ifndef DRSIM_SERVE_SERVICE_HH
@@ -39,7 +46,9 @@ struct PointOutcome
 {
     /** Empty on success; a FatalError message otherwise. */
     std::string error;
-    SimResult result;
+    /** Null on error.  Built once per computed or loaded point; the
+     *  memory tier and every delivery of the point share it. */
+    std::shared_ptr<const SimResult> result;
     /** Served from the memory map or the disk cache (no simulation
      *  ran for this delivery). */
     bool cacheHit = false;

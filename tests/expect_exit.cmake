@@ -1,7 +1,8 @@
-# Run a command and require a given exit code (and, optionally, an
-# output line), for the `drsim` command-line contract tests:
+# Run a command and require a given exit code (and, optionally, a
+# stdout or stderr match), for the `drsim` command-line contract tests:
 #
-#   cmake -DEXPECT=2 [-DMATCH=regex] -P expect_exit.cmake -- CMD ARGS...
+#   cmake -DEXPECT=2 [-DMATCH=regex] [-DERR_MATCH=regex]
+#         -P expect_exit.cmake -- CMD ARGS...
 set(cmd)
 set(seen_dashes FALSE)
 math(EXPR last "${CMAKE_ARGC} - 1")
@@ -21,4 +22,8 @@ endif()
 if(DEFINED MATCH AND NOT out MATCHES "${MATCH}")
     message(FATAL_ERROR "stdout does not match '${MATCH}': ${cmd}\n"
                         "${out}")
+endif()
+if(DEFINED ERR_MATCH AND NOT err MATCHES "${ERR_MATCH}")
+    message(FATAL_ERROR "stderr does not match '${ERR_MATCH}': ${cmd}\n"
+                        "${err}")
 endif()

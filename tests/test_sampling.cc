@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <gtest/gtest.h>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "common/logging.hh"
 #include "exp/registry.hh"
@@ -67,6 +69,27 @@ TEST(SamplingSpec, RejectsGarbageAndInfeasible)
     EXPECT_THROW(parseSamplingSpec("0"), FatalError);
     // interval must exceed warmup + window
     EXPECT_THROW(parseSamplingSpec("1000:600:400"), FatalError);
+}
+
+TEST(SamplingSpec, InfeasibleSpecNamesTheConfigRule)
+{
+    // A spec that parses but cannot run is refused with the config
+    // table's finding, as the same sampling in a machine config is.
+    const std::pair<const char *, const char *> cases[] = {
+        {"1000:0:10", "[sampling-zero-window]"},
+        {"1000:10:1000", "[sampling-warmup-ge-interval]"},
+        {"1000:600:400", "[sampling-no-fast-forward]"},
+    };
+    for (const auto &[spec, rule] : cases) {
+        try {
+            parseSamplingSpec(spec);
+            ADD_FAILURE() << spec << " was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(rule),
+                      std::string::npos)
+                << spec << ": " << e.what();
+        }
+    }
 }
 
 TEST(SamplingSpec, RejectsWrappingAndSaturatingFields)
